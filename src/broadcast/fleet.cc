@@ -38,9 +38,10 @@ enum class Phase : uint8_t {
 /// One client slot. The per-query protocol state mirrors the locals of
 /// BroadcastChannel::Simulate; everything else is the client's identity
 /// and arrival process. Kept small on purpose: a million clients is a few
-/// hundred MB. The fault processes are NOT resident (a mt19937_64 is
-/// ~2.5 KB): every draw sequence is reconstructed from its (seed, client,
-/// purpose) stream key exactly when needed — see FirstFailure below.
+/// hundred MB. The fault processes are NOT resident: their state is a
+/// pure function of the (seed, client, purpose) stream keys, so every draw
+/// sequence is rebuilt from its key exactly when needed (see FirstFailure
+/// below), which keeps Client small.
 struct Client {
   uint64_t key = 0;          ///< FleetClientKey(seed, client_id)
   uint64_t id = 0;           ///< slot + generation * num_clients
@@ -178,14 +179,14 @@ struct WakeUpLater {
 /// remaining draws never being made keeps this equivalent to drawing
 /// lazily at each read). Valid because LossProcess::StartStream fully
 /// re-keys the process: its state is a pure function of (options, query
-/// stream, sub-stream), never of what an earlier phase drew.
+/// stream, sub-stream), never of what an earlier phase drew — so the
+/// processes are built directly on the sub-stream.
 int FirstFailure(const LossOptions& lopt, int frame_bits,
                  uint64_t query_stream, uint64_t sub_stream, int num_reads,
                  bool* fail_corrupt) {
-  LossProcess loss(lopt, query_stream);
-  CorruptionProcess corrupt(lopt.corruption, frame_bits, query_stream);
-  loss.StartStream(sub_stream);
-  corrupt.StartStream(sub_stream);
+  LossProcess loss(lopt, query_stream, sub_stream);
+  CorruptionProcess corrupt(lopt.corruption, frame_bits, query_stream,
+                            sub_stream);
   for (int i = 0; i < num_reads; ++i) {
     if (loss.enabled() && loss.NextLost()) {
       *fail_corrupt = false;

@@ -82,7 +82,7 @@ Status ValidateLossOptions(const LossOptions& options) {
 
 void LossProcess::StartStream(uint64_t stream) {
   if (!enabled()) return;
-  rng_ = Rng(Rng::MixStream(query_key_, stream));
+  rng_.Reseed(Rng::MixStream(query_key_, stream));
   if (options_.model == LossModel::kGilbertElliott) {
     // Stationary state occupancy: P(bad) = g2b / (g2b + b2g).
     const double denom = options_.p_good_to_bad + options_.p_bad_to_good;
@@ -113,19 +113,30 @@ bool LossProcess::NextLost() {
 }
 
 CorruptionProcess::CorruptionProcess(const CorruptionOptions& options,
-                                     int frame_bits, uint64_t query_stream)
+                                     int frame_bits, uint64_t query_stream,
+                                     uint64_t stream)
     : options_(options),
       query_key_(Rng::MixStream(options.seed, query_stream)),
       rng_(0) {
-  p_frame_ = FrameCorruptionProbability(options_.bit_error_rate, frame_bits);
-  p_frame_good_ = FrameCorruptionProbability(options_.ber_good, frame_bits);
-  p_frame_bad_ = FrameCorruptionProbability(options_.ber_bad, frame_bits);
-  StartStream(LossProcess::kProbeStream);
+  // Only the active model's frame probabilities are ever read.
+  switch (options_.model) {
+    case CorruptionModel::kNone:
+      break;
+    case CorruptionModel::kIidBits:
+      p_frame_ =
+          FrameCorruptionProbability(options_.bit_error_rate, frame_bits);
+      break;
+    case CorruptionModel::kBurstBits:
+      p_frame_good_ = FrameCorruptionProbability(options_.ber_good, frame_bits);
+      p_frame_bad_ = FrameCorruptionProbability(options_.ber_bad, frame_bits);
+      break;
+  }
+  StartStream(stream);
 }
 
 void CorruptionProcess::StartStream(uint64_t stream) {
   if (!enabled()) return;
-  rng_ = Rng(Rng::MixStream(query_key_, stream));
+  rng_.Reseed(Rng::MixStream(query_key_, stream));
   if (options_.model == CorruptionModel::kBurstBits) {
     const double denom = options_.p_good_to_bad + options_.p_bad_to_good;
     const double stationary_bad =

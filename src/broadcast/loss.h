@@ -122,6 +122,8 @@ Status ValidateCorruptionOptions(const CorruptionOptions& options);
 /// Per-query loss process. Construct with the query's stream id, call
 /// StartStream at each protocol phase (kProbeStream for the initial probe,
 /// AttemptStream(k) for attempt k), then NextLost() once per packet read.
+/// Constructing with `stream` is the same as constructing on kProbeStream
+/// and then calling StartStream(stream).
 class LossProcess {
  public:
   static constexpr uint64_t kProbeStream = 0;
@@ -141,11 +143,12 @@ class LossProcess {
     return (uint64_t{1} << 33) + static_cast<uint64_t>(pass);
   }
 
-  LossProcess(const LossOptions& options, uint64_t query_stream)
+  LossProcess(const LossOptions& options, uint64_t query_stream,
+              uint64_t stream = kProbeStream)
       : options_(options),
         query_key_(Rng::MixStream(options.seed, query_stream)),
         rng_(0) {
-    StartStream(kProbeStream);
+    StartStream(stream);
   }
 
   bool enabled() const { return options_.enabled(); }
@@ -176,7 +179,8 @@ class LossProcess {
 class CorruptionProcess {
  public:
   CorruptionProcess(const CorruptionOptions& options, int frame_bits,
-                    uint64_t query_stream);
+                    uint64_t query_stream,
+                    uint64_t stream = LossProcess::kProbeStream);
 
   bool enabled() const { return options_.enabled(); }
 

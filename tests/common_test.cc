@@ -1,6 +1,9 @@
 // Tests for the common substrate: Status/Result, byte serialization, RNG.
 
+#include <cstdint>
+#include <random>
 #include <set>
+#include <vector>
 
 #include "common/bytes.h"
 #include "common/crc32.h"
@@ -196,6 +199,141 @@ TEST(RngTest, ShuffleIsAPermutation) {
   rng.Shuffle(&v);
   EXPECT_NE(v, orig);  // astronomically unlikely to be identity
   EXPECT_EQ(std::set<int>(v.begin(), v.end()).size(), 50u);
+}
+
+// --- Mt19937_64 against its oracle, std::mt19937_64 -----------------------
+//
+// The lazily seeded engine must emit exactly the standard engine's
+// sequence, however many draws precede a copy or a reseed: the counts
+// straddle the lazy first block's edges (156 / 157 is where seeding
+// completes, 312 where the first full twist starts).
+
+std::vector<uint64_t> OracleSeeds() {
+  std::vector<uint64_t> seeds = {0, 1, ~uint64_t{0}};
+  for (uint64_t s = 0; s < 1000; ++s) {
+    seeds.push_back(Rng::MixStream(s % 7, s));
+  }
+  return seeds;
+}
+
+constexpr int kDrawCounts[] = {0, 1, 2, 155, 156, 157, 311,
+                               312, 313, 624, 625, 2000};
+
+// Enough draws to cross into the next block from any position.
+constexpr int kContinueDraws = 320;
+
+// Index of the first of `n` draws where the engines differ, or -1.
+template <typename A, typename B>
+int FirstMismatch(A& a, B& b, int n) {
+  for (int i = 0; i < n; ++i) {
+    if (a() != b()) return i;
+  }
+  return -1;
+}
+
+TEST(Mt19937_64Test, MatchesStdEngineAtEveryDrawCount) {
+  for (uint64_t seed : OracleSeeds()) {
+    for (int n : kDrawCounts) {
+      Mt19937_64 engine(seed);
+      std::mt19937_64 oracle(seed);
+      ASSERT_EQ(FirstMismatch(engine, oracle, n), -1)
+          << "seed " << seed << " draws " << n;
+      ASSERT_EQ(FirstMismatch(engine, oracle, kContinueDraws), -1)
+          << "seed " << seed << " after " << n << " draws";
+    }
+  }
+}
+
+TEST(Mt19937_64Test, CopyOfAPartlyDrawnEngineContinuesIdentically) {
+  for (uint64_t seed : OracleSeeds()) {
+    for (int n : kDrawCounts) {
+      Mt19937_64 engine(seed);
+      std::mt19937_64 oracle(seed);
+      oracle.discard(n);
+      for (int i = 0; i < n; ++i) engine();
+      Mt19937_64 copy(engine);
+      ASSERT_EQ(FirstMismatch(copy, oracle, kContinueDraws), -1)
+          << "seed " << seed << " copied after " << n << " draws";
+      // Copy-assignment over an engine that has built more state.
+      Mt19937_64 assigned(~seed);
+      for (int i = 0; i < 700; ++i) assigned();
+      assigned = engine;
+      ASSERT_EQ(FirstMismatch(assigned, engine, kContinueDraws), -1)
+          << "seed " << seed << " assigned after " << n << " draws";
+    }
+  }
+}
+
+TEST(Mt19937_64Test, ReseedAfterPartialDrawEqualsFreshEngine) {
+  const std::vector<uint64_t> seeds = OracleSeeds();
+  for (size_t s = 0; s < seeds.size(); ++s) {
+    const uint64_t next = seeds[(s + 1) % seeds.size()];
+    for (int n : kDrawCounts) {
+      Mt19937_64 engine(seeds[s]);
+      for (int i = 0; i < n; ++i) engine();
+      engine.Reseed(next);
+      std::mt19937_64 oracle(next);
+      ASSERT_EQ(FirstMismatch(engine, oracle, kContinueDraws + n), -1)
+          << "seed " << seeds[s] << " reseeded to " << next << " after "
+          << n << " draws";
+    }
+  }
+}
+
+TEST(RngTest, SamplersMatchStdDistributionsOnStdEngine) {
+  // Each sampler against a freshly constructed std distribution, the way
+  // the Rng builds one per call (Gaussian's normal_distribution included,
+  // so its cached second deviate is discarded every call).
+  for (uint64_t seed : OracleSeeds()) {
+    Rng rng(seed);
+    std::mt19937_64 oracle(seed);
+    for (int round = 0; round < 120; ++round) {
+      const double lo = -3.0 * round, hi = 1.0 + 0.5 * round;
+      ASSERT_EQ(rng.Uniform(lo, hi),
+                std::uniform_real_distribution<double>(lo, hi)(oracle))
+          << "seed " << seed << " round " << round;
+      ASSERT_EQ(rng.UniformInt(-round, 7 * round),
+                std::uniform_int_distribution<int64_t>(-round, 7 * round)(
+                    oracle));
+      const int64_t big = INT64_MAX - round;
+      ASSERT_EQ(rng.UniformInt(-big, big),
+                std::uniform_int_distribution<int64_t>(-big, big)(oracle));
+      ASSERT_EQ(rng.Gaussian(round, 0.25 + round),
+                std::normal_distribution<double>(round, 0.25 + round)(oracle));
+      std::vector<int> shuffled(round % 9), expected(round % 9);
+      for (size_t i = 0; i < shuffled.size(); ++i) {
+        shuffled[i] = expected[i] = static_cast<int>(i);
+      }
+      rng.Shuffle(&shuffled);
+      for (size_t i = expected.size(); i > 1; --i) {
+        const auto j = std::uniform_int_distribution<int64_t>(
+            0, static_cast<int64_t>(i) - 1)(oracle);
+        std::swap(expected[i - 1], expected[static_cast<size_t>(j)]);
+      }
+      ASSERT_EQ(shuffled, expected) << "seed " << seed << " round " << round;
+    }
+  }
+}
+
+TEST(RngTest, ForStreamReseedAndCopyMatchTheOracle) {
+  for (uint64_t stream = 0; stream < 64; ++stream) {
+    const uint64_t key = Rng::MixStream(99, stream);
+    Rng rng = Rng::ForStream(99, stream);
+    std::mt19937_64 oracle(key);
+    for (int i = 0; i < 5; ++i) {
+      ASSERT_EQ(rng.Uniform(0.0, 1.0),
+                std::uniform_real_distribution<double>(0.0, 1.0)(oracle));
+    }
+    Rng copy = rng;
+    for (int i = 0; i < 400; ++i) {
+      ASSERT_EQ(copy.Uniform(0.0, 1.0), rng.Uniform(0.0, 1.0));
+    }
+    rng.Reseed(key ^ 1);
+    Rng fresh(key ^ 1);
+    for (int i = 0; i < 400; ++i) {
+      ASSERT_EQ(rng.UniformInt(0, 1000), fresh.UniformInt(0, 1000));
+    }
+  }
 }
 
 }  // namespace

@@ -323,6 +323,9 @@ TEST(CorruptionChannelTest, TraceEventsMirrorOutcome) {
         case TraceEventKind::kEpochSwitch:
           ADD_FAILURE() << "single-epoch traces never switch";
           break;
+        case TraceEventKind::kCacheHit:
+          ADD_FAILURE() << "cache-off traces never hit";
+          break;
       }
     }
     EXPECT_EQ(losses, out.lost_packets);
