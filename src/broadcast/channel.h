@@ -13,7 +13,9 @@
 //
 // ChannelOptions::loss selects an optional packet-loss model (loss.h);
 // Simulate then plays the client's re-tune recovery protocol and reports
-// retries and unrecoverable failures in the QueryOutcome.
+// retries and unrecoverable failures in the QueryOutcome. The protocol
+// itself lives in broadcast/client_protocol.h; Simulate runs it over the
+// one-span table this channel forms.
 
 #ifndef DTREE_BROADCAST_CHANNEL_H_
 #define DTREE_BROADCAST_CHANNEL_H_
@@ -193,9 +195,6 @@ class BroadcastChannel {
   int bucket_packets_ = 0;
   int64_t data_packets_ = 0;
   int64_t cycle_packets_ = 0;
-  /// Framed packet size in bits (payload + CRC trailer); the exposure of
-  /// one packet read to the bit-corruption process.
-  int frame_bits_ = 0;
   /// First data-bucket id of each of the m data chunks (size m + 1,
   /// chunk_first_[m] == num_regions).
   std::vector<int> chunk_first_;

@@ -11,15 +11,15 @@
 // Poisson arrival process, and may churn (leave, with a fresh client
 // re-occupying the slot).
 //
-// Protocol fidelity: the per-query state machine replays the exact packet
-// arithmetic, RNG draw order and trace-event order of
-// BroadcastChannel::Simulate, only spread across wake-up events in
-// absolute broadcast time instead of one synchronous call. Every packet
-// position of a query arriving at absolute time A is the position for
-// arrival fmod(A, cycle) shifted by the same whole number of cycles, and
-// both arithmetic forms are exact in double, so a fleet of one client
-// issuing one query reproduces Simulate's QueryOutcome field-for-field —
-// the differential anchor pinned in tests/fleet_test.cc.
+// Protocol fidelity: each query is stepped through the same ClientProtocol
+// (broadcast/client_protocol.h) that BroadcastChannel::Simulate runs, only
+// spread across wake-up events in absolute broadcast time instead of one
+// synchronous call. Every packet position of a query arriving at absolute
+// time A is the position for arrival fmod(A, cycle) shifted by the same
+// whole number of cycles, and both arithmetic forms are exact in double,
+// so a fleet of one client issuing one query reproduces Simulate's
+// QueryOutcome field-for-field (kept as a regression test in
+// tests/fleet_test.cc).
 //
 // Determinism contract (same shape as RunExperiment's): clients are split
 // into kFleetShards fixed shards owning contiguous slot ranges; every

@@ -19,15 +19,17 @@
 //
 // Ordering contract per delivered read: the fault processes draw first
 // (a lost frame never arrives and a corrupted frame fails its CRC, so
-// neither reveals an epoch), then the epoch check runs. On a single-span
-// timeline the epoch check never fires and BroadcastTimeline::Simulate is
-// bit-identical to BroadcastChannel::Simulate — field for field, draw for
-// draw — which is the differential oracle in tests/epoch_test.cc.
+// neither reveals an epoch), then the epoch check runs.
 //
-// Determinism: restarts (fault re-tunes *and* epoch switches) share one
-// ordinal keying LossProcess::AttemptStream, so the outcome is a pure
-// function of (timeline, traces, arrival, loss_stream) — never of thread
-// count. The fleet engine (broadcast/fleet.h) replays the same streams.
+// The protocol is written once, in broadcast/client_protocol.h, over a
+// table of epoch spans; a BroadcastChannel is the one-span table. So a
+// single-span timeline plays exactly BroadcastChannel::Simulate — field
+// for field, draw for draw — by construction (tests/epoch_test.cc keeps
+// the differential as a regression test), and the fleet engine
+// (broadcast/fleet.h) steps the same protocol. Restarts (fault re-tunes
+// *and* epoch switches) share one ordinal keying LossProcess::AttemptStream,
+// so the outcome is a pure function of (timeline, traces, arrival,
+// loss_stream) — never of thread count.
 
 #ifndef DTREE_BROADCAST_VERSIONED_H_
 #define DTREE_BROADCAST_VERSIONED_H_
@@ -84,19 +86,22 @@ class BroadcastTimeline {
   /// query point resolves to under span s's index (one trace per span —
   /// the client re-probes the *new* index after an epoch switch).
   ///
-  /// Protocol: identical to BroadcastChannel::Simulate — initial probe,
-  /// index descent, bucket retrieval, fault ladder — plus the version-skew
-  /// rung described in the file comment. QueryOutcome::epoch reports the
-  /// epoch the answer (or give-up) belongs to and epoch_switches the
-  /// switches survived; a query exceeding loss.max_epoch_switches gives up
-  /// with GiveUpStage::kEpochChurn. `trace_out`, when non-null, receives
-  /// kEpochSwitch events and has `versioned` set so its JSONL line carries
-  /// the epoch summary fields.
+  /// Protocol: BroadcastChannel::Simulate's — initial probe, index
+  /// descent, bucket retrieval, fault ladder — plus the version-skew rung
+  /// described in the file comment (both are ClientProtocol).
+  /// QueryOutcome::epoch reports the epoch the answer (or give-up)
+  /// belongs to and epoch_switches the switches survived; a query
+  /// exceeding loss.max_epoch_switches gives up with
+  /// GiveUpStage::kEpochChurn. `trace_out`, when non-null, receives
+  /// kEpochSwitch events and has `versioned` set so its JSONL line
+  /// carries the epoch summary fields.
   Result<BroadcastChannel::QueryOutcome> Simulate(
       const std::vector<ProbeTrace>& traces, double arrival,
       uint64_t loss_stream, QueryTrace* trace_out = nullptr) const;
 
  private:
+  friend class ClientProtocol;  // views the span table without copying
+
   BroadcastTimeline() = default;
 
   std::vector<EpochSpan> spans_;

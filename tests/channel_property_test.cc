@@ -7,7 +7,11 @@
 #include <limits>
 
 #include "broadcast/channel.h"
+#include "broadcast/experiment.h"
+#include "broadcast/fleet.h"
 #include "common/rng.h"
+#include "dtree/dtree.h"
+#include "test_util.h"
 
 #include "gtest/gtest.h"
 
@@ -288,6 +292,54 @@ TEST(ChannelPropertyTest, NoIndexUnderLossRetriesAndStaysConsistent) {
   EXPECT_TRUE(dead.unrecoverable);
   EXPECT_EQ(dead.give_up, GiveUpStage::kRetryBudget);
   EXPECT_EQ(dead.retries, sure.loss.max_retries);
+}
+
+TEST(ChannelPropertyTest, CreateRejectsUnusableDataInstanceSize) {
+  // A zero-sized instance makes a zero-packet bucket (and a zero-length
+  // pure-data cycle, where the indexless baseline would divide by zero);
+  // an instance needing more than INT_MAX packets would be truncated.
+  ChannelOptions opt;
+  opt.packet_capacity = 256;
+  const size_t int_max = static_cast<size_t>(std::numeric_limits<int>::max());
+  for (size_t size : {size_t{0}, size_t{1} << 40, int_max * 256 + 1}) {
+    opt.data_instance_size = size;
+    auto ch_r = BroadcastChannel::Create(5, 10, opt);
+    ASSERT_FALSE(ch_r.ok()) << "data_instance_size=" << size;
+    EXPECT_EQ(ch_r.status().code(), StatusCode::kInvalidArgument);
+  }
+  // The extremes that still fit are accepted with the exact bucket size.
+  opt.data_instance_size = 1;
+  auto one = BroadcastChannel::Create(5, 10, opt);
+  ASSERT_TRUE(one.ok());
+  EXPECT_EQ(one.value().bucket_packets(), 1);
+  opt.data_instance_size = int_max * 256;
+  auto widest = BroadcastChannel::Create(5, 10, opt);
+  ASSERT_TRUE(widest.ok());
+  EXPECT_EQ(widest.value().bucket_packets(), std::numeric_limits<int>::max());
+}
+
+TEST(ChannelPropertyTest, DriversInheritTheDataInstanceSizeCheck) {
+  const sub::Subdivision sub = test::RandomVoronoi(20, 31);
+  core::DTree::Options topt;
+  topt.packet_capacity = 256;
+  auto tree = core::DTree::Build(sub, topt);
+  ASSERT_TRUE(tree.ok());
+
+  ExperimentOptions eopt;
+  eopt.packet_capacity = 256;
+  eopt.num_queries = 10;
+  eopt.data_instance_size = 0;
+  auto exp = RunExperiment(tree.value(), sub, nullptr, eopt);
+  ASSERT_FALSE(exp.ok());
+  EXPECT_EQ(exp.status().code(), StatusCode::kInvalidArgument);
+
+  FleetOptions fopt;
+  fopt.packet_capacity = 256;
+  fopt.num_clients = 4;
+  fopt.data_instance_size = size_t{1} << 40;
+  auto fleet = RunFleet(tree.value(), sub, fopt);
+  ASSERT_FALSE(fleet.ok());
+  EXPECT_EQ(fleet.status().code(), StatusCode::kInvalidArgument);
 }
 
 }  // namespace
