@@ -12,7 +12,12 @@
 //   * a 3-span BroadcastTimeline::Simulate with max_epoch_switches in
 //     {0, 8};
 //   * RunFleet and RunFleetVersioned with telemetry attached (FleetResult
-//     fields, trace stream, timeline JSONL and flight-recorder bytes).
+//     fields, trace stream, timeline JSONL and flight-recorder bytes);
+//   * the same fleets with no telemetry attached (FleetResult fields and
+//     trace stream), which the engine may schedule differently: RunFleet
+//     under loss, corruption and churn, mobile cached fleets with
+//     verify_hits off and on, a 3-span RunFleetVersioned and a
+//     same-geometry two-epoch cache flush.
 // The runs must also cover every ladder rung (see Coverage), so a digest
 // that still matches cannot hide a rung that stopped being exercised.
 //
@@ -26,6 +31,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "broadcast/channel.h"
@@ -532,6 +538,24 @@ void RecordFleetCase(GoldenTable* golden, const std::string& name,
   golden->Record(name + "/flight", hf.value());
 }
 
+const std::map<std::string, uint64_t>& ExpectedUntelemeteredDigests() {
+  static const std::map<std::string, uint64_t> kTable = {
+      {"off/cache_flush/result", 0xfd2886377deb2a38ULL},
+      {"off/cache_flush/traces", 0x4018a17ab952233cULL},
+      {"off/fleet/result", 0x67cc99291ade9b81ULL},
+      {"off/fleet/traces", 0xf6bd4737e96ad572ULL},
+      {"off/mobile_cache/verify0/result", 0xf5ae2db91711b01bULL},
+      {"off/mobile_cache/verify0/traces", 0x14fce4d8ad1b552eULL},
+      {"off/mobile_cache/verify1/result", 0xf5ae2db91711b01bULL},
+      {"off/mobile_cache/verify1/traces", 0x14fce4d8ad1b552eULL},
+      {"off/versioned/s0/result", 0x2aa770da0bc8bbcdULL},
+      {"off/versioned/s0/traces", 0x77536870c2d010bfULL},
+      {"off/versioned/s8/result", 0x0ca5a132299aa3e8ULL},
+      {"off/versioned/s8/traces", 0xfb24d5b229ab145bULL},
+  };
+  return kTable;
+}
+
 TEST(ProtocolGoldenTest, FleetAndVersionedFleetWithTelemetry) {
   std::vector<std::unique_ptr<IndexRig>> rigs;
   rigs.push_back(MakeIndexRig(60, 1321, 256));
@@ -568,6 +592,107 @@ TEST(ProtocolGoldenTest, FleetAndVersionedFleetWithTelemetry) {
                   });
 
   golden.ExpectMatches(ExpectedFleetDigests());
+}
+
+/// Runs `run` with only a trace sink attached and records the result and
+/// trace digests of one fleet case; `*out` (nullable) receives the result.
+template <typename RunFn>
+void RecordUntelemeteredCase(GoldenTable* golden, const std::string& name,
+                             FleetOptions fopt, RunFn run,
+                             FleetResult* out = nullptr) {
+  std::string traces;
+  JsonlTraceSink sink(&traces);
+  fopt.trace_sink = &sink;
+  fopt.telemetry = nullptr;
+  Result<FleetResult> res = run(fopt);
+  ASSERT_TRUE(res.ok()) << res.status().ToString();
+  ASSERT_GT(res.value().queries, 0);
+  Fnv64 hr, ht;
+  AddFleetResult(&hr, res.value());
+  ht.Str(traces);
+  golden->Record(name + "/result", hr.value());
+  golden->Record(name + "/traces", ht.value());
+  if (out != nullptr) *out = std::move(res).value();
+}
+
+TEST(ProtocolGoldenTest, FleetAndVersionedFleetWithoutTelemetry) {
+  std::vector<std::unique_ptr<IndexRig>> rigs;
+  rigs.push_back(MakeIndexRig(60, 1321, 256));
+  rigs.push_back(MakeIndexRig(48, 1322, 256));
+  rigs.push_back(MakeIndexRig(70, 1323, 256));
+  std::vector<FleetEpoch> epochs;
+  epochs.push_back({&rigs[0]->tree, &rigs[0]->sub, 7, 1});
+  epochs.push_back({&rigs[1]->tree, &rigs[1]->sub, 8, 2});
+  epochs.push_back({&rigs[2]->tree, &rigs[2]->sub, 9, 1});
+
+  GoldenTable golden;
+  RecordUntelemeteredCase(&golden, "off/fleet", GoldenFleetOptions(),
+                          [&](const FleetOptions& fopt) {
+                            return RunFleet(rigs[0]->tree, rigs[0]->sub,
+                                            fopt);
+                          });
+  for (int switches : {0, 8}) {
+    FleetOptions fopt = GoldenFleetOptions();
+    fopt.loss.max_epoch_switches = switches;
+    RecordUntelemeteredCase(&golden,
+                            "off/versioned/s" + std::to_string(switches),
+                            fopt, [&](const FleetOptions& o) {
+                              return RunFleetVersioned(epochs, o);
+                            });
+  }
+
+  // Mobile clients with region caches on one epoch; verify_hits replays
+  // every hit against a cold probe and must not change a single output.
+  const workload::Dataset uniform = workload::MakeUniformDataset().value();
+  core::DTree::Options topt;
+  topt.packet_capacity = 256;
+  const core::DTree uniform_tree =
+      core::DTree::Build(uniform.subdivision, topt).value();
+  FleetResult cached;
+  for (bool verify : {false, true}) {
+    FleetOptions fopt = GoldenFleetOptions();
+    fopt.queries_per_cycle = 4.0;
+    fopt.mobility.enabled = true;
+    fopt.mobility.hop_scale = 4.0;
+    fopt.cache.enabled = true;
+    fopt.cache.verify_hits = verify;
+    RecordUntelemeteredCase(
+        &golden, std::string("off/mobile_cache/verify") + (verify ? "1" : "0"),
+        fopt,
+        [&](const FleetOptions& o) {
+          return RunFleet(uniform_tree, uniform.subdivision, o);
+        },
+        &cached);
+    EXPECT_GT(cached.cache_hits, 0);
+  }
+
+  // The same geometry under two epoch ids: every client that observes the
+  // switch flushes its cache, and verified hits stay a strict differential.
+  FleetOptions flush;
+  flush.packet_capacity = 256;
+  flush.num_clients = 128;
+  flush.sim_cycles = 8.0;
+  flush.queries_per_cycle = 2.0;
+  flush.seed = 23;
+  flush.mobility.enabled = true;
+  flush.mobility.model = workload::MobilityModel::kGaussianHop;
+  flush.mobility.hop_scale = 4.0;
+  flush.cache.enabled = true;
+  flush.cache.verify_hits = true;
+  const std::vector<FleetEpoch> same_geometry = {
+      {&uniform_tree, &uniform.subdivision, /*epoch=*/0, /*cycles=*/2},
+      {&uniform_tree, &uniform.subdivision, /*epoch=*/7, /*cycles=*/1}};
+  FleetResult flushed;
+  RecordUntelemeteredCase(
+      &golden, "off/cache_flush", flush,
+      [&](const FleetOptions& o) {
+        return RunFleetVersioned(same_geometry, o);
+      },
+      &flushed);
+  EXPECT_GT(flushed.cache_hits, 0);
+  EXPECT_GT(flushed.cache_invalidations, 0);
+
+  golden.ExpectMatches(ExpectedUntelemeteredDigests());
 }
 
 }  // namespace

@@ -17,6 +17,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "broadcast/experiment.h"
@@ -97,6 +98,62 @@ TEST(FleetTelemetryTest, AttachingTelemetryDoesNotPerturbFleetResult) {
   ASSERT_TRUE(observed.ok()) << observed.status().ToString();
   ExpectBitIdentical(bare.value(), observed.value());
   EXPECT_FALSE(telemetry.series().empty());
+
+  // The same pin for the trace bytes, a versioned fleet with epoch
+  // switches and a cached mobile fleet: the engine may schedule an
+  // untelemetered fleet differently, but never with a visible difference.
+  FleetFixture f2 = MakeFixture(48, 904);
+  FleetFixture f3 = MakeFixture(70, 905);
+  const std::vector<FleetEpoch> epochs = {{&f.tree, &f.sub, 3, 1},
+                                          {&f2.tree, &f2.sub, 4, 1},
+                                          {&f3.tree, &f3.sub, 5, 1}};
+  FleetOptions versioned = LossyFleetOptions();
+  versioned.num_clients = 600;
+  FleetOptions cached = LossyFleetOptions();
+  cached.num_clients = 300;
+  cached.queries_per_cycle = 4.0;
+  cached.mobility.enabled = true;
+  cached.mobility.hop_scale = 20.0;
+  cached.cache.enabled = true;
+  cached.cache.verify_hits = true;
+  const auto run_pair = [&](FleetOptions o, auto run, FleetResult* out) {
+    std::string bare_traces, observed_traces;
+    JsonlTraceSink bare_sink(&bare_traces);
+    o.trace_sink = &bare_sink;
+    o.telemetry = nullptr;
+    auto without = run(o);
+    ASSERT_TRUE(without.ok()) << without.status().ToString();
+    JsonlTraceSink observed_sink(&observed_traces);
+    FleetTelemetry tel;
+    o.trace_sink = &observed_sink;
+    o.telemetry = &tel;
+    auto with = run(o);
+    ASSERT_TRUE(with.ok()) << with.status().ToString();
+    ExpectBitIdentical(without.value(), with.value());
+    EXPECT_EQ(without.value().total_epoch_switches,
+              with.value().total_epoch_switches);
+    EXPECT_EQ(without.value().epoch_churn_queries,
+              with.value().epoch_churn_queries);
+    EXPECT_EQ(without.value().cache_hits, with.value().cache_hits);
+    EXPECT_EQ(without.value().cache_invalidations,
+              with.value().cache_invalidations);
+    EXPECT_EQ(bare_traces, observed_traces);
+    EXPECT_FALSE(bare_traces.empty());
+    *out = std::move(without).value();
+  };
+  FleetResult r;
+  run_pair(
+      LossyFleetOptions(),
+      [&](const FleetOptions& o) { return RunFleet(f.tree, f.sub, o); }, &r);
+  run_pair(
+      versioned,
+      [&](const FleetOptions& o) { return RunFleetVersioned(epochs, o); },
+      &r);
+  EXPECT_GT(r.total_epoch_switches, 0);
+  run_pair(
+      cached, [&](const FleetOptions& o) { return RunFleet(f.tree, f.sub, o); },
+      &r);
+  EXPECT_GT(r.cache_hits, 0);
 }
 
 TEST(FleetTelemetryTest, ExportsAreByteIdenticalAcrossThreadCounts) {
