@@ -24,8 +24,10 @@
 //
 //   3. the timeline JSONL, flight-recorder JSONL and Prometheus snapshot
 //      are byte-identical at 1, 4, and 8 threads, and
-//   4. the FleetResult with telemetry attached matches the reference —
-//      observation must not perturb the simulation.
+//   4. the FleetResult with telemetry attached matches a reference run
+//      with nothing attached (no telemetry, no trace sink) — observation
+//      must not perturb the simulation. The reference is that bare run,
+//      so every run of the sweep is compared against it.
 //
 // With --trace-out set, fleet traces also feed a CycleProfiler, printing
 // the per-D-tree-level read attribution for the fleet workload.
@@ -215,6 +217,22 @@ int main(int argc, char** argv) {
   BenchRecorder recorder("bench_fleet", flags);
   FleetResult reference;
   bool have_reference = false;
+  const char* reference_name = "1-thread run";
+  if (telemetry_on) {
+    // Check 4's reference: the fleet with no observer attached, which the
+    // engine schedules differently from a telemetered one.
+    bcast::FleetOptions bare = fopt;
+    bare.num_threads = 8;
+    auto res = bcast::RunFleet(*index.value(), ds.value().subdivision, bare);
+    if (!res.ok()) {
+      std::fprintf(stderr, "untelemetered fleet run failed: %s\n",
+                   res.status().ToString().c_str());
+      return 1;
+    }
+    reference = std::move(res).value();
+    have_reference = true;
+    reference_name = "untelemetered run";
+  }
   std::unique_ptr<bcast::CycleProfiler> profiler;
   for (int threads : {1, 4, 8}) {
     bcast::FleetOptions run = fopt;
@@ -261,9 +279,9 @@ int main(int argc, char** argv) {
     } else if (!SameFleetResult(reference, r)) {
       std::fprintf(stderr,
                    "FAIL: FleetResult at %d threads diverges from the "
-                   "1-thread run (queries %lld vs %lld, latency %.17g vs "
-                   "%.17g)\n",
-                   threads, static_cast<long long>(r.queries),
+                   "%s (queries %lld vs %lld, latency %.17g vs %.17g)\n",
+                   threads, reference_name,
+                   static_cast<long long>(r.queries),
                    static_cast<long long>(reference.queries),
                    r.mean_latency, reference.mean_latency);
       ok = false;
@@ -294,6 +312,8 @@ int main(int argc, char** argv) {
   if (have_telemetry_reference && ok) {
     std::printf("telemetry: timeline+flight+prom byte-identical at "
                 "1/4/8 threads ✓\n");
+    std::printf("telemetry: FleetResult at 1/4/8 threads == untelemetered "
+                "run ✓\n");
     if (!flags.telemetry_out.empty() &&
         !WriteTextFile(flags.telemetry_out, ref_timeline)) {
       ok = false;

@@ -27,8 +27,14 @@
 // JSONL sink (lines carry the versioned "epoch"/"epoch_switches" fields
 // and "epoch_switch" events; tools/trace_summary.py --check validates
 // them). With --telemetry-out / --flight-out set, a FleetTelemetry sink
-// rides along and the bench additionally verifies that the timeline and
-// flight-recorder bytes are identical at 1/4/8 threads for every cell.
+// rides along and the bench additionally verifies for every cell that
+//
+//   4. the timeline and flight-recorder bytes are identical at 1/4/8
+//      threads, and
+//   5. the FleetResult with telemetry attached matches a reference run
+//      with nothing attached (no telemetry, no trace sink) — observation
+//      must not perturb the simulation. The reference is that bare run,
+//      so every run of the sweep is compared against it.
 
 #include "bench_util.h"
 
@@ -285,6 +291,22 @@ int main(int argc, char** argv) {
                       KindName(kind), num_epochs, loss_rate);
         FleetResult reference;
         bool have_reference = false;
+        const char* reference_name = "1-thread run";
+        if (telemetry_on) {
+          // Check 5's reference: the cell with no observer attached, which
+          // the engine schedules differently from a telemetered one.
+          bcast::FleetOptions bare = fopt;
+          bare.num_threads = 8;
+          auto res = bcast::RunFleetVersioned(epochs, bare);
+          if (!res.ok()) {
+            std::fprintf(stderr, "%s untelemetered run failed: %s\n", cell,
+                         res.status().ToString().c_str());
+            return 1;
+          }
+          reference = std::move(res).value();
+          have_reference = true;
+          reference_name = "untelemetered run";
+        }
         std::string ref_timeline, ref_flight;
         for (int threads : {1, 4, 8}) {
           bcast::FleetOptions run = fopt;
@@ -310,9 +332,7 @@ int main(int argc, char** argv) {
                           static_cast<double>(r.queries) /
                               std::max(wall_s, 1e-12),
                           threads, CellPercentiles::From(r));
-          if (!have_reference) {
-            reference = r;
-            have_reference = true;
+          if (threads == 1) {
             std::printf("%-34s %10lld %10.2f %9lld %9lld %8lld %8.2f\n",
                         cell, static_cast<long long>(r.queries),
                         r.mean_latency,
@@ -320,12 +340,16 @@ int main(int argc, char** argv) {
                         static_cast<long long>(r.epoch_churn_queries),
                         static_cast<long long>(r.unrecoverable_queries),
                         wall_s);
+          }
+          if (!have_reference) {
+            reference = r;
+            have_reference = true;
           } else if (!SameVersionedResult(reference, r)) {
             std::fprintf(stderr,
-                         "FAIL: %s diverges at %d threads (queries %lld vs "
-                         "%lld, latency %.17g vs %.17g, switches %lld vs "
-                         "%lld)\n",
-                         cell, threads,
+                         "FAIL: %s diverges from the %s at %d threads "
+                         "(queries %lld vs %lld, latency %.17g vs %.17g, "
+                         "switches %lld vs %lld)\n",
+                         cell, reference_name, threads,
                          static_cast<long long>(r.queries),
                          static_cast<long long>(reference.queries),
                          r.mean_latency, reference.mean_latency,
@@ -370,6 +394,8 @@ int main(int argc, char** argv) {
   if (telemetry_on && ok) {
     std::printf("telemetry: timeline+flight byte-identical at 1/4/8 "
                 "threads for every cell ✓\n");
+    std::printf("telemetry: FleetResult at 1/4/8 threads == untelemetered "
+                "run for every cell ✓\n");
     if (!flags.telemetry_out.empty() &&
         !WriteTextFile(flags.telemetry_out, all_timeline)) {
       ok = false;

@@ -312,14 +312,17 @@ double DistanceToTriangle(const Triangle& t, const Point& p) {
 
 }  // namespace
 
-Result<bcast::ProbeTrace> TrianTree::Probe(const geom::Point& p) const {
-  bcast::ProbeTrace trace;
+Status TrianTree::ProbeInto(const geom::Point& p,
+                            bcast::ProbeTrace* trace) const {
+  trace->region = -1;
+  trace->packets.clear();
+  trace->origins.clear();
   auto touch = [&](int tri_id) {
     const bcast::NodeSpan& span = paging_.spans[tri_bfs_pos_[tri_id]];
     for (int k = 0; k < span.num_packets; ++k) {
       const int packet = span.first_packet + k;
-      if (trace.packets.empty() || trace.packets.back() != packet) {
-        trace.packets.push_back(packet);
+      if (trace->packets.empty() || trace->packets.back() != packet) {
+        trace->packets.push_back(packet);
       }
     }
   };
@@ -349,11 +352,11 @@ Result<bcast::ProbeTrace> TrianTree::Probe(const geom::Point& p) const {
       found = nearest;
     }
     if (tris_[found].children.empty()) {
-      trace.region = tris_[found].region;
-      if (trace.region < 0) {
+      trace->region = tris_[found].region;
+      if (trace->region < 0) {
         return Status::NotFound("query point outside the service area");
       }
-      return trace;
+      return Status::OK();
     }
     candidates = &tris_[found].children;
   }

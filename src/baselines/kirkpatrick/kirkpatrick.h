@@ -58,7 +58,8 @@ class TrianTree final : public bcast::AirIndex {
   int NumIndexPackets() const override { return paging_.num_packets; }
   size_t IndexBytes() const override { return paging_.used_bytes; }
   int PacketCapacity() const override { return options_.packet_capacity; }
-  Result<bcast::ProbeTrace> Probe(const geom::Point& p) const override;
+  Status ProbeInto(const geom::Point& p,
+                   bcast::ProbeTrace* trace) const override;
 
   /// In-memory query without packet accounting.
   int Locate(const geom::Point& p) const;

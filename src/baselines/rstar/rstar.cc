@@ -583,11 +583,14 @@ int RStarTree::Locate(const geom::Point& p) const {
   return r.value().region;
 }
 
-Result<bcast::ProbeTrace> RStarTree::Probe(const geom::Point& p) const {
-  bcast::ProbeTrace trace;
-  auto touch = [&trace](int packet) {
-    if (trace.packets.empty() || trace.packets.back() != packet) {
-      trace.packets.push_back(packet);
+Status RStarTree::ProbeInto(const geom::Point& p,
+                            bcast::ProbeTrace* trace) const {
+  trace->region = -1;
+  trace->packets.clear();
+  trace->origins.clear();
+  auto touch = [trace](int packet) {
+    if (trace->packets.empty() || trace->packets.back() != packet) {
+      trace->packets.push_back(packet);
     }
   };
 
@@ -619,8 +622,8 @@ Result<bcast::ProbeTrace> RStarTree::Probe(const geom::Point& p) const {
       for (int k = 0; k < span.num_packets; ++k) touch(span.first_packet + k);
       const geom::Polygon& poly = shapes_[e.region];
       if (poly.Contains(p)) {
-        trace.region = e.region;
-        return trace;
+        trace->region = e.region;
+        return Status::OK();
       }
       const double d = poly.DistanceToBoundary(p);
       if (d < best_fallback_dist) {
@@ -632,8 +635,8 @@ Result<bcast::ProbeTrace> RStarTree::Probe(const geom::Point& p) const {
   if (best_fallback >= 0) {
     // Numeric gap between adjacent shapes: resolve to the nearest tested
     // region (the answer is ambiguous within tolerance anyway).
-    trace.region = best_fallback;
-    return trace;
+    trace->region = best_fallback;
+    return Status::OK();
   }
   return Status::Internal("query point escaped every leaf MBR");
 }

@@ -42,7 +42,8 @@ class RStarTree final : public bcast::AirIndex {
   int NumIndexPackets() const override { return num_packets_; }
   size_t IndexBytes() const override { return index_bytes_; }
   int PacketCapacity() const override { return options_.packet_capacity; }
-  Result<bcast::ProbeTrace> Probe(const geom::Point& p) const override;
+  Status ProbeInto(const geom::Point& p,
+                   bcast::ProbeTrace* trace) const override;
 
   /// In-memory point location (DFS with containment tests), no packet
   /// accounting.

@@ -537,24 +537,29 @@ Result<int> TrapMap::QueryFromPackets(
   }
 }
 
-Result<bcast::ProbeTrace> TrapMap::Probe(const Point& p) const {
-  bcast::ProbeTrace trace;
-  std::vector<int> visited;
-  const int trap = LocateTrapezoid(p, &visited);
+Status TrapMap::ProbeInto(const Point& p, bcast::ProbeTrace* trace) const {
+  // The descent logs DAG nodes into trace->packets, which are then
+  // rewritten in place to their (deduplicated) packets.
+  std::vector<int>& packets = trace->packets;
+  packets.clear();
+  trace->origins.clear();
+  const int trap = LocateTrapezoid(p, &packets);
   if (trap < 0) {
     return Status::Internal("trap-tree descent exceeded the probe budget");
   }
-  trace.region = traps_[trap].region;
-  for (int node : visited) {
+  trace->region = traps_[trap].region;
+  size_t n = 0;
+  for (const int node : packets) {
     const int pos = node_bfs_pos_[node];
     DTREE_CHECK(pos >= 0);
     const bcast::NodeSpan& span = paging_.spans[pos];
     DTREE_CHECK(span.num_packets == 1);
-    if (trace.packets.empty() || trace.packets.back() != span.first_packet) {
-      trace.packets.push_back(span.first_packet);
+    if (n == 0 || packets[n - 1] != span.first_packet) {
+      packets[n++] = span.first_packet;
     }
   }
-  return trace;
+  packets.resize(n);
+  return Status::OK();
 }
 
 int TrapMap::num_dag_nodes() const {

@@ -57,7 +57,8 @@ class TrapMap final : public bcast::AirIndex {
   int NumIndexPackets() const override { return paging_.num_packets; }
   size_t IndexBytes() const override { return paging_.used_bytes; }
   int PacketCapacity() const override { return options_.packet_capacity; }
-  Result<bcast::ProbeTrace> Probe(const geom::Point& p) const override;
+  Status ProbeInto(const geom::Point& p,
+                   bcast::ProbeTrace* trace) const override;
 
   /// In-memory point location through the DAG, no packet accounting.
   /// Returns -1 when the descent exceeds the probe step budget (a

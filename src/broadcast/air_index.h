@@ -76,9 +76,17 @@ class AirIndex {
   /// Packet capacity this index was paged for.
   virtual int PacketCapacity() const = 0;
 
-  /// Simulates the client's index search for query point p.
+  /// Simulates the client's index search for query point p, filling the
+  /// caller's `*trace` in place — the only probe entry point an index
+  /// implements.
   ///
-  /// Concurrency contract: Probe must be safe to call from multiple
+  /// Trace contract: every field of `*trace` is overwritten (region set,
+  /// packets and origins cleared, then appended), whatever it held before,
+  /// and the vectors keep their capacity, so a caller probing many queries
+  /// reuses one trace instead of growing fresh vectors per query. `*trace`
+  /// is unspecified on error.
+  ///
+  /// Concurrency contract: ProbeInto must be safe to call from multiple
   /// threads at once on the same (fully built) index. Implementations may
   /// not mutate shared state — no lazy construction, no internal caches,
   /// no `mutable` members touched on the probe path. The parallel
@@ -86,15 +94,10 @@ class AirIndex {
   /// across a thread pool and relies on this; all four structures in this
   /// repository (D-tree, R*-tree, trap-tree, trian-tree) satisfy it by
   /// being immutable after Build().
-  virtual Result<ProbeTrace> Probe(const geom::Point& p) const = 0;
+  virtual Status ProbeInto(const geom::Point& p, ProbeTrace* trace) const = 0;
 
-  /// Allocation-light variant: fills `*trace` (clearing any previous
-  /// contents but keeping its vectors' capacity), so a caller probing many
-  /// queries can reuse one trace instead of constructing fresh vectors per
-  /// query. Same semantics and concurrency contract as Probe; `*trace` is
-  /// unspecified on error. The default forwards to Probe; hot-path
-  /// implementations override it.
-  virtual Status ProbeInto(const geom::Point& p, ProbeTrace* trace) const;
+  /// Convenience wrapper: ProbeInto on a fresh trace.
+  Result<ProbeTrace> Probe(const geom::Point& p) const;
 };
 
 /// Validates a trace: region resolved, packet ids within range, and — when

@@ -73,7 +73,6 @@ class ArenaIndex final : public AirIndex {
   size_t IndexBytes() const override { return index_bytes_; }
   int PacketCapacity() const override { return packet_capacity_; }
 
-  Result<ProbeTrace> Probe(const geom::Point& p) const override;
   Status ProbeInto(const geom::Point& p, ProbeTrace* trace) const override {
     return engine_->ProbeInto(p, trace);
   }

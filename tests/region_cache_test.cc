@@ -506,6 +506,34 @@ TEST(RegionCacheFleetTest, EpochSkewFlushesTheCache) {
   EXPECT_GT(r.value().cache_invalidations, 0);
 }
 
+TEST(RegionCacheFleetTest, VerifiedHitsAcrossEpochsWithDifferentGeometry) {
+  // Two epochs with unrelated subdivisions. A client that dozed through
+  // the switch still trusts its epoch-0 entries until it observes a newer
+  // stamp, so a hit must be checked against the index of the epoch the
+  // entry carries, not the one on the air.
+  const sub::Subdivision s0 = test::RandomVoronoi(40, 96);
+  const sub::Subdivision s1 = test::RandomVoronoi(52, 97);
+  const core::DTree t0 = ExperimentRig::Build(s0);
+  const core::DTree t1 = ExperimentRig::Build(s1);
+  const std::vector<FleetEpoch> epochs = {{&t0, &s0, /*epoch=*/0, 2},
+                                          {&t1, &s1, /*epoch=*/1, 1}};
+  FleetOptions fopt = MakeMobileCacheFleetOptions();
+  fopt.sim_cycles = 8.0;
+  fopt.cache.verify_hits = false;
+  auto plain = RunFleetVersioned(epochs, fopt);
+  ASSERT_TRUE(plain.ok()) << plain.status().ToString();
+  fopt.cache.verify_hits = true;
+  auto verified = RunFleetVersioned(epochs, fopt);
+  ASSERT_TRUE(verified.ok()) << verified.status().ToString();
+  EXPECT_GT(verified.value().cache_hits, 0);
+  EXPECT_GT(verified.value().cache_invalidations, 0);
+  EXPECT_EQ(verified.value().cache_hits, plain.value().cache_hits);
+  EXPECT_EQ(verified.value().queries, plain.value().queries);
+  EXPECT_EQ(verified.value().mean_latency, plain.value().mean_latency);
+  EXPECT_EQ(verified.value().mean_tuning_total,
+            plain.value().mean_tuning_total);
+}
+
 TEST(RegionCacheFleetTest, CorruptionDoesNotInvalidate) {
   // A mangled frame carries no trustworthy epoch evidence: with a single
   // epoch on the air, heavy corruption must produce zero invalidations.
