@@ -74,32 +74,7 @@ Wake Done(int64_t done, int64_t switch_at = -1) {
 
 void ProtocolEmitter::Record(const TraceEvent& e) const {
   if (trace != nullptr) trace->events.push_back(e);
-  if (telemetry == nullptr) return;
-  switch (e.kind) {
-    case TraceEventKind::kDoze:
-      telemetry->Doze(static_cast<double>(e.pos), e.dur, client, query);
-      break;
-    case TraceEventKind::kProbe:
-    case TraceEventKind::kIndexRead:
-      telemetry->Read(e.kind, e.pos, 1, /*data_read=*/false, client, query);
-      break;
-    case TraceEventKind::kBucketRead:
-      telemetry->Read(e.kind, e.pos, e.packet, /*data_read=*/true, client,
-                      query);
-      break;
-    case TraceEventKind::kFallbackScan:
-      telemetry->Read(e.kind, e.pos, e.packet, /*data_read=*/false, client,
-                      query);
-      break;
-    case TraceEventKind::kLoss:
-    case TraceEventKind::kCorruption:
-    case TraceEventKind::kRetune:
-    case TraceEventKind::kEpochSwitch:
-      telemetry->Fault(e.kind, e.pos, client, query);
-      break;
-    case TraceEventKind::kCacheHit:
-      break;  // synthesized by the cache layer, never by the protocol
-  }
+  if (telemetry != nullptr) telemetry->Record(e);
 }
 
 void MirrorOutcome(const QueryOutcome& out, bool versioned,

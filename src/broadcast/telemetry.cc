@@ -125,6 +125,22 @@ void AppendPromHistogram(std::string* out, const char* name,
   AppendF(out, "%s_count %" PRIu64 "\n", name, h.TotalCount());
 }
 
+/// Packets a read event covers: one per probe / index read, the
+/// retrieval's length for bucket reads and fallback-scan listening; 0
+/// for every other kind.
+int ReadPackets(const TraceEvent& e) {
+  switch (e.kind) {
+    case TraceEventKind::kProbe:
+    case TraceEventKind::kIndexRead:
+      return 1;
+    case TraceEventKind::kBucketRead:
+    case TraceEventKind::kFallbackScan:
+      return e.packet;
+    default:
+      return 0;
+  }
+}
+
 }  // namespace
 
 TelemetryTotals TotalsFromFleet(const FleetResult& result) {
@@ -147,12 +163,14 @@ TelemetryTotals TotalsFromFleet(const FleetResult& result) {
 }
 
 TelemetryShard::TelemetryShard(double window_width, int64_t cycle_packets,
-                               int bins, int ring_capacity)
-    : series_(window_width), cycle_packets_(cycle_packets), bins_(bins) {
+                               int bins, int flight_capacity)
+    : series_(window_width),
+      cycle_packets_(cycle_packets),
+      bins_(bins),
+      flight_capacity_(flight_capacity) {
   DTREE_CHECK(cycle_packets > 0);
   DTREE_CHECK(bins > 0);
-  DTREE_CHECK(ring_capacity >= 0);
-  ring_.resize(static_cast<size_t>(ring_capacity));
+  DTREE_CHECK(flight_capacity >= 0);
 }
 
 Counter* TelemetryShard::Cnt(CachedCounter* slot, const char* name,
@@ -186,19 +204,6 @@ HeatmapRow* TelemetryShard::Row(int64_t window) {
   return heat_row_;
 }
 
-void TelemetryShard::RecordFlight(TraceEventKind kind, int64_t pos,
-                                  int packets, double dur, int64_t client) {
-  if (ring_.empty()) return;
-  FlightEvent& e = ring_[ring_pos_];
-  e.client = client;
-  e.pos = pos;
-  e.dur = dur;
-  e.packets = packets;
-  e.kind = kind;
-  if (++ring_pos_ == ring_.size()) ring_pos_ = 0;
-  ++ring_written_;
-}
-
 void TelemetryShard::SessionJoin(double t) {
   Cnt(&c_arrivals_, kTsArrivals, series_.WindowIndex(t))->Add(1);
 }
@@ -214,12 +219,33 @@ void TelemetryShard::QueryIssued(double arrival) {
   series_.gauge(kTsShardInflight, w)->Record(static_cast<double>(inflight_));
 }
 
-void TelemetryShard::Doze(double resume_at, double dur, int64_t client,
-                          uint32_t q) {
-  (void)q;
+void TelemetryShard::Record(const TraceEvent& e) {
+  switch (e.kind) {
+    case TraceEventKind::kDoze:
+      Doze(static_cast<double>(e.pos), e.dur);
+      break;
+    case TraceEventKind::kProbe:
+    case TraceEventKind::kIndexRead:
+    case TraceEventKind::kFallbackScan:
+      Read(e.pos, ReadPackets(e), /*data_read=*/false);
+      break;
+    case TraceEventKind::kBucketRead:
+      Read(e.pos, ReadPackets(e), /*data_read=*/true);
+      break;
+    case TraceEventKind::kLoss:
+    case TraceEventKind::kRetune:
+    case TraceEventKind::kCorruption:
+    case TraceEventKind::kEpochSwitch:
+      Fault(e.kind, e.pos);
+      break;
+    case TraceEventKind::kCacheHit:
+      // Counted once per query by CacheLookup, not per event.
+      break;
+  }
+}
+
+void TelemetryShard::Doze(double resume_at, double dur) {
   if (!(dur > 0.0)) return;
-  RecordFlight(TraceEventKind::kDoze,
-               static_cast<int64_t>(std::floor(resume_at)), 0, dur, client);
   // Attribute the slept packets to every window the interval
   // [resume_at - dur, resume_at) overlaps, so per-window doze occupancy
   // integrates exactly to the total time slept.
@@ -235,10 +261,7 @@ void TelemetryShard::Doze(double resume_at, double dur, int64_t client,
   }
 }
 
-void TelemetryShard::Read(TraceEventKind kind, int64_t pos, int packets,
-                          bool data_read, int64_t client, uint32_t q) {
-  (void)q;
-  RecordFlight(kind, pos, packets, 0.0, client);
+void TelemetryShard::Read(int64_t pos, int packets, bool data_read) {
   // Per-packet attribution: a multi-packet retrieval (bucket read,
   // fallback-scan listening) may straddle a window boundary.
   for (int k = 0; k < packets; ++k) {
@@ -259,9 +282,7 @@ void TelemetryShard::Read(TraceEventKind kind, int64_t pos, int packets,
   }
 }
 
-void TelemetryShard::Fault(TraceEventKind kind, int64_t pos, int64_t client,
-                           uint32_t q) {
-  (void)q;
+void TelemetryShard::Fault(TraceEventKind kind, int64_t pos) {
   const int64_t w = pos / cycle_packets_;
   switch (kind) {
     case TraceEventKind::kLoss:
@@ -279,7 +300,6 @@ void TelemetryShard::Fault(TraceEventKind kind, int64_t pos, int64_t client,
     default:
       DTREE_CHECK(false);  // not a fault / recovery event
   }
-  RecordFlight(kind, pos, 0, 0.0, client);
 }
 
 void TelemetryShard::CacheLookup(double t, bool hit) {
@@ -304,7 +324,8 @@ void TelemetryShard::CacheInvalidated(double t, int n) {
 }
 
 void TelemetryShard::QueryDone(double done, int64_t client, uint32_t q,
-                               const QueryOutcomeSummary& out) {
+                               const QueryOutcomeSummary& out,
+                               const std::vector<TraceEvent>& events) {
   const int64_t w = series_.WindowIndex(done);
   Cnt(&c_completed_, kTsQueriesCompleted, w)->Add(1);
   if (out.unrecoverable) Cnt(&c_unrec_, kTsUnrecoverable, w)->Add(1);
@@ -313,11 +334,12 @@ void TelemetryShard::QueryDone(double done, int64_t client, uint32_t q,
   Hist(&h_tuning_, kTsTuning, w)->Add(static_cast<double>(out.tuning_total));
   --inflight_;
   series_.gauge(kTsShardInflight, w)->Record(static_cast<double>(inflight_));
-  if (out.unrecoverable) DumpFlight(done, client, q, out);
+  if (out.unrecoverable) DumpFlight(done, client, q, out, events);
 }
 
 void TelemetryShard::DumpFlight(double done, int64_t client, uint32_t q,
-                                const QueryOutcomeSummary& out) {
+                                const QueryOutcomeSummary& out,
+                                const std::vector<TraceEvent>& events) {
   std::string& line = flight_;
   AppendF(&line, "{\"flight\": \"unrecoverable\", \"client\": %lld",
           static_cast<long long>(client));
@@ -335,24 +357,20 @@ void TelemetryShard::DumpFlight(double done, int64_t client, uint32_t q,
     AppendF(&line, ", \"give_up\": \"%s\"", out.give_up);
   }
   line += ", \"events\": [";
-  // Ring replay, oldest surviving event first, filtered to this client.
-  const size_t count = ring_written_ < ring_.size()
-                           ? static_cast<size_t>(ring_written_)
-                           : ring_.size();
-  const size_t oldest =
-      ring_written_ < ring_.size() ? 0 : ring_pos_;  // next overwrite slot
-  bool first = true;
-  for (size_t i = 0; i < count; ++i) {
-    const FlightEvent& e = ring_[(oldest + i) % ring_.size()];
-    if (e.client != client) continue;
-    if (!first) line += ", ";
-    first = false;
+  // The walk's last flight_capacity_ events, oldest first (a cache hit,
+  // the only walk with a kCacheHit event, is never unrecoverable).
+  const size_t from =
+      events.size() -
+      std::min(events.size(), static_cast<size_t>(flight_capacity_));
+  for (size_t i = from; i < events.size(); ++i) {
+    const TraceEvent& e = events[i];
+    if (i > from) line += ", ";
     AppendF(&line, "{\"t\": \"%s\", \"pos\": %lld",
             TraceEventKindName(e.kind), static_cast<long long>(e.pos));
     if (e.kind == TraceEventKind::kDoze) {
       AppendF(&line, ", \"dur\": %.10g", e.dur);
-    } else if (e.packets > 0) {
-      AppendF(&line, ", \"n\": %d", e.packets);
+    } else if (ReadPackets(e) > 0) {
+      AppendF(&line, ", \"n\": %d", ReadPackets(e));
     }
     line.push_back('}');
   }
@@ -559,36 +577,8 @@ std::string FleetTelemetry::PrometheusText() const {
 void TelemetryTraceSink::Consume(const QueryTrace& trace) {
   DTREE_CHECK(telemetry_->num_shards() >= 1);
   TelemetryShard* s = telemetry_->shard(0);
-  const int64_t client = trace.client_id;
-  const uint32_t q = static_cast<uint32_t>(trace.query_index);
   s->QueryIssued(trace.arrival);
-  for (const TraceEvent& e : trace.events) {
-    switch (e.kind) {
-      case TraceEventKind::kProbe:
-      case TraceEventKind::kIndexRead:
-        s->Read(e.kind, e.pos, 1, /*data_read=*/false, client, q);
-        break;
-      case TraceEventKind::kBucketRead:
-        s->Read(e.kind, e.pos, e.packet, /*data_read=*/true, client, q);
-        break;
-      case TraceEventKind::kFallbackScan:
-        s->Read(e.kind, e.pos, e.packet, /*data_read=*/false, client, q);
-        break;
-      case TraceEventKind::kDoze:
-        s->Doze(static_cast<double>(e.pos), e.dur, client, q);
-        break;
-      case TraceEventKind::kLoss:
-      case TraceEventKind::kRetune:
-      case TraceEventKind::kCorruption:
-      case TraceEventKind::kEpochSwitch:
-        s->Fault(e.kind, e.pos, client, q);
-        break;
-      case TraceEventKind::kCacheHit:
-        // Counted once per query from the trace-level flag below, not
-        // per event.
-        break;
-    }
-  }
+  for (const TraceEvent& e : trace.events) s->Record(e);
   if (telemetry_->cache_enabled()) {
     s->CacheLookup(trace.arrival, trace.cache_hit);
   }
@@ -603,7 +593,8 @@ void TelemetryTraceSink::Consume(const QueryTrace& trace) {
   out.versioned = trace.versioned;
   out.epoch = trace.epoch;
   out.epoch_switches = trace.epoch_switches;
-  s->QueryDone(trace.arrival + trace.latency, client, q, out);
+  s->QueryDone(trace.arrival + trace.latency, trace.client_id,
+               static_cast<uint32_t>(trace.query_index), out, trace.events);
 }
 
 }  // namespace dtree::bcast

@@ -318,19 +318,19 @@ const std::map<std::string, uint64_t>& ExpectedTimelineDigests() {
 
 const std::map<std::string, uint64_t>& ExpectedFleetDigests() {
   static const std::map<std::string, uint64_t> kTable = {
-      {"fleet/flight", 0xca3c4937396c24aeULL},
+      {"fleet/flight", 0xc157e3f553780d9bULL},
       {"fleet/result", 0x67cc99291ade9b81ULL},
       {"fleet/timeline", 0x2226476733ff48e0ULL},
       {"fleet/traces", 0xf6bd4737e96ad572ULL},
-      {"versioned/s0/flight", 0x3529dee7583624a2ULL},
+      {"versioned/s0/flight", 0x5c4e841e1461e48fULL},
       {"versioned/s0/result", 0x2aa770da0bc8bbcdULL},
       {"versioned/s0/timeline", 0x1d157511c4c259b4ULL},
       {"versioned/s0/traces", 0x77536870c2d010bfULL},
-      {"versioned/s8/flight", 0xee38906c2b18ac23ULL},
+      {"versioned/s8/flight", 0x0927d2fd6cc5a75fULL},
       {"versioned/s8/result", 0x0ca5a132299aa3e8ULL},
       {"versioned/s8/timeline", 0x01e7f315af22e0f1ULL},
       {"versioned/s8/traces", 0xfb24d5b229ab145bULL},
-      {"versioned_cache/flight", 0x954587f00d0921b6ULL},
+      {"versioned_cache/flight", 0x6b5683433a62a0c8ULL},
       {"versioned_cache/result", 0x07445e2a74cda6bdULL},
       {"versioned_cache/timeline", 0x3eb6227f48ea6856ULL},
       {"versioned_cache/traces", 0x0fba477facf61e59ULL},

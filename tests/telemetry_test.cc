@@ -11,11 +11,18 @@
 //
 // Plus: sum-of-windows equals the engine's own run totals, the read
 // heatmap balances against the window counters, unrecoverable queries
-// leave black-box flight records, TelemetryTraceSink gives the
+// leave black-box flight records that are the tail of their own query's
+// trace (fleet, versioned fleet and experiment), TelemetryTraceSink gives the
 // single-query experiment driver the same timeline schema, and
 // CycleProfiler attributes fleet index reads to D-tree levels.
 
+#include <algorithm>
+#include <cinttypes>
+#include <cstddef>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -253,6 +260,171 @@ TEST(FleetTelemetryTest, UnrecoverableQueriesLeaveFlightRecords) {
   int64_t lines = 0;
   for (char ch : flight) lines += ch == '\n';
   EXPECT_EQ(lines, telemetry.flight_record_count());
+}
+
+/// Keeps the event walk of every unrecoverable query, keyed (client, q).
+class FailedWalkSink : public TraceSink {
+ public:
+  void Consume(const QueryTrace& t) override {
+    if (t.unrecoverable) walks[{t.client_id, t.query_index}] = t.events;
+  }
+  std::map<std::pair<int64_t, uint64_t>, std::vector<TraceEvent>> walks;
+};
+
+/// The "events" array a flight record of `walk` must carry: the walk's
+/// last `keep` events, reads with their packet count "n", dozes with
+/// their duration "dur".
+std::string ExpectedFlightEvents(const std::vector<TraceEvent>& walk,
+                                 size_t keep) {
+  const std::vector<TraceEvent> tail(
+      walk.end() - static_cast<std::ptrdiff_t>(std::min(walk.size(), keep)),
+      walk.end());
+  std::string out = "[";
+  char buf[128];
+  for (size_t i = 0; i < tail.size(); ++i) {
+    const TraceEvent& e = tail[i];
+    std::snprintf(buf, sizeof(buf), "%s{\"t\": \"%s\", \"pos\": %" PRId64,
+                  i > 0 ? ", " : "", TraceEventKindName(e.kind), e.pos);
+    out += buf;
+    int n = 0;
+    switch (e.kind) {
+      case TraceEventKind::kDoze:
+        std::snprintf(buf, sizeof(buf), ", \"dur\": %.10g", e.dur);
+        out += buf;
+        break;
+      case TraceEventKind::kProbe:
+      case TraceEventKind::kIndexRead:
+        n = 1;
+        break;
+      case TraceEventKind::kBucketRead:
+      case TraceEventKind::kFallbackScan:
+        n = e.packet;
+        break;
+      default:
+        break;
+    }
+    if (n > 0) out += ", \"n\": " + std::to_string(n);
+    out += "}";
+  }
+  return out + "]";
+}
+
+int64_t FieldInt(const std::string& line, const std::string& key) {
+  const size_t at = line.find("\"" + key + "\": ");
+  EXPECT_NE(at, std::string::npos) << key << " missing in " << line;
+  if (at == std::string::npos) return 0;
+  return std::strtoll(line.c_str() + at + key.size() + 4, nullptr, 10);
+}
+
+/// Every flight record must be the tail of its own query's walk, and
+/// every unrecoverable query must leave exactly one record. Returns
+/// whether any record kept an epoch switch.
+bool ExpectRecordsAreWalkTails(const std::string& flight,
+                               const FailedWalkSink& sink, size_t keep) {
+  EXPECT_FALSE(sink.walks.empty());
+  size_t records = 0, truncated = 0;
+  bool saw_switch = false;
+  for (size_t start = 0; start < flight.size();) {
+    const size_t end = flight.find('\n', start);
+    const std::string line = flight.substr(start, end - start);
+    start = end + 1;
+    ++records;
+    const auto key = std::make_pair(
+        FieldInt(line, "client"),
+        static_cast<uint64_t>(FieldInt(line, "q")));
+    const auto it = sink.walks.find(key);
+    if (it == sink.walks.end()) {
+      ADD_FAILURE() << "record of no failed query: " << line;
+      continue;
+    }
+    const size_t at = line.find("\"events\": ") + 10;
+    EXPECT_EQ(line.substr(at, line.size() - at - 1),
+              ExpectedFlightEvents(it->second, keep))
+        << line;
+    truncated += it->second.size() > keep;
+    saw_switch |= line.find("\"epoch_switch\"") != std::string::npos;
+  }
+  EXPECT_EQ(records, sink.walks.size());
+  EXPECT_GT(truncated, 0u);  // the cap is exercised, not just the tail
+  return saw_switch;
+}
+
+TEST(FleetTelemetryTest, FlightRecordIsTheTailOfItsQueryTrace) {
+  // A black box is the failed query's own walk, not whatever its shard
+  // happened to read last: at 20k clients a shard-wide ring of recent
+  // events would long have wrapped past the start of a failing walk.
+  FleetFixture f = MakeFixture(60, 907);
+  FleetOptions fopt = LossyFleetOptions();
+  fopt.num_clients = 20000;
+  fopt.loss.loss_rate = 0.1;
+  fopt.num_threads = 4;
+  FailedWalkSink walks;
+  FleetTelemetry telemetry;
+  fopt.trace_sink = &walks;
+  fopt.telemetry = &telemetry;
+  auto r = RunFleet(f.tree, f.sub, fopt);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  const size_t keep = static_cast<size_t>(
+      telemetry.options().flight_recorder_capacity);
+  EXPECT_EQ(keep, 32u);
+  EXPECT_EQ(static_cast<int64_t>(walks.walks.size()),
+            r.value().unrecoverable_queries);
+  ExpectRecordsAreWalkTails(telemetry.flight_records(), walks, keep);
+
+  // A 3-span versioned fleet: records keep the epoch switches the
+  // failing walk survived.
+  FleetFixture f2 = MakeFixture(48, 908);
+  FleetFixture f3 = MakeFixture(70, 909);
+  FleetOptions vopt = LossyFleetOptions();
+  vopt.num_clients = 3000;
+  vopt.loss.loss_rate = 0.3;
+  vopt.loss.max_retries = 4;
+  FailedWalkSink vwalks;
+  FleetTelemetry vtel;
+  vopt.trace_sink = &vwalks;
+  vopt.telemetry = &vtel;
+  auto v = RunFleetVersioned({{&f.tree, &f.sub, 3, 1},
+                              {&f2.tree, &f2.sub, 4, 1},
+                              {&f3.tree, &f3.sub, 5, 1}},
+                             vopt);
+  ASSERT_TRUE(v.ok()) << v.status().ToString();
+  ASSERT_GT(v.value().total_epoch_switches, 0);
+  EXPECT_TRUE(ExpectRecordsAreWalkTails(vtel.flight_records(), vwalks, keep));
+
+  // The experiment driver through TelemetryTraceSink: every trace carries
+  // client -1, so a record must still hold only its own query's events.
+  auto ds = workload::MakeUniformDataset();
+  ASSERT_TRUE(ds.ok());
+  core::DTree::Options topt;
+  topt.packet_capacity = 256;
+  auto tree = core::DTree::Build(ds.value().subdivision, topt);
+  ASSERT_TRUE(tree.ok());
+  ExperimentOptions eopt;
+  eopt.packet_capacity = 256;
+  eopt.num_queries = 3000;
+  eopt.seed = 12;
+  eopt.loss.model = LossModel::kIid;
+  eopt.loss.loss_rate = 0.3;
+  eopt.loss.seed = 5;
+  eopt.loss.max_retries = 2;
+  ChannelOptions copt;
+  copt.packet_capacity = eopt.packet_capacity;
+  auto ch = BroadcastChannel::Create(tree.value().NumIndexPackets(),
+                                     ds.value().subdivision.NumRegions(),
+                                     copt);
+  ASSERT_TRUE(ch.ok());
+  FleetTelemetry etel;
+  etel.Reset(ch.value().cycle_packets(), 1);
+  TelemetryTraceSink tel_sink(&etel);
+  FailedWalkSink ewalks;
+  TeeTraceSink tee({&tel_sink, &ewalks});
+  eopt.trace_sink = &tee;
+  auto e = RunExperiment(tree.value(), ds.value().subdivision, nullptr, eopt);
+  ASSERT_TRUE(e.ok()) << e.status().ToString();
+  etel.MergeShards();
+  EXPECT_EQ(static_cast<int64_t>(ewalks.walks.size()),
+            e.value().unrecoverable_queries);
+  ExpectRecordsAreWalkTails(etel.flight_records(), ewalks, keep);
 }
 
 TEST(FleetTelemetryTest, MergeShardsIsIdempotent) {

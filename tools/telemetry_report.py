@@ -35,6 +35,10 @@ file) is broken, not the fleet:
     present, 0 on single-epoch runs), and versioned flight records
     carry "epoch" and "epoch_switches" together or not at all
     (DESIGN.md §15);
+  * a flight record's events are the tail of its own query's walk
+    (DESIGN.md §14): their "pos" never decreases, and the packets its
+    reads cover (the "n" of probe, index, bucket and fallback_scan
+    events) sum to at most the record's "tuning";
   * region-cache counters (cache_hits, cache_misses, cache_evictions,
     cache_invalidations; DESIGN.md §16) are optional but consistent:
     cache-off runs omit all four everywhere, cache-on runs carry all
@@ -64,6 +68,8 @@ FLIGHT_EVENT_KINDS = {
     "probe", "doze", "index", "bucket", "loss", "retune",
     "corruption_detected", "fallback_scan", "epoch_switch",
 }
+# Flight event kinds whose "n" counts tuned packets.
+FLIGHT_READ_KINDS = {"probe", "index", "bucket", "fallback_scan"}
 # window counter -> meta totals key it must sum to.
 SUM_CHECKS = {
     "completed": "queries",
@@ -238,6 +244,7 @@ def validate_flight_line(obj):
     events = obj.get("events")
     if not isinstance(events, list):
         return "flight field 'events' must be an array"
+    read_packets = 0
     for i, ev in enumerate(events):
         if not isinstance(ev, dict):
             return f"flight event {i} is not an object"
@@ -247,6 +254,21 @@ def validate_flight_line(obj):
             return f"flight event {i} missing integer 'pos'"
         if ev["t"] == "doze" and (not is_num(ev.get("dur")) or ev["dur"] <= 0):
             return f"flight event {i} (doze) needs positive 'dur'"
+        if i > 0 and ev["pos"] < events[i - 1]["pos"]:
+            return (
+                f"flight event {i} at pos {ev['pos']} precedes event "
+                f"{i - 1} at pos {events[i - 1]['pos']}"
+            )
+        if ev["t"] in FLIGHT_READ_KINDS:
+            n = ev.get("n", 0)
+            if not is_int(n) or n < 0:
+                return f"flight event {i} 'n' must be a non-negative integer"
+            read_packets += n
+    if read_packets > obj["tuning"]:
+        return (
+            f"flight events read {read_packets} packets but the query "
+            f"tuned only {obj['tuning']}"
+        )
     return None
 
 
