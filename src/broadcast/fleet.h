@@ -14,13 +14,13 @@
 // Protocol fidelity: each query is stepped through the same ClientProtocol
 // (broadcast/client_protocol.h) that BroadcastChannel::Simulate runs, in
 // absolute broadcast time. A shard's queue holds one entry per event
-// another client can observe: the query's completion, or every read when
-// telemetry is attached (see DESIGN.md §13). Every packet position of a
-// query arriving at absolute time A is the position for arrival
-// fmod(A, cycle) shifted by the same whole number of cycles, and both
-// arithmetic forms are exact in double, so a fleet of one client issuing
-// one query reproduces Simulate's QueryOutcome field-for-field (kept as a
-// regression test in tests/fleet_test.cc).
+// another client can observe: a session start or a query's completion,
+// with or without telemetry attached (see DESIGN.md §13). Every packet
+// position of a query arriving at absolute time A is the position for
+// arrival fmod(A, cycle) shifted by the same whole number of cycles, and
+// both arithmetic forms are exact in double, so a fleet of one client
+// issuing one query reproduces Simulate's QueryOutcome field-for-field
+// (kept as a regression test in tests/fleet_test.cc).
 //
 // Determinism contract (same shape as RunExperiment's): clients are split
 // into kFleetShards fixed shards owning contiguous slot ranges; every
