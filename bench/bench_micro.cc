@@ -3,11 +3,12 @@
 // substrate. These measure wall-clock performance of this implementation
 // (the paper's metrics are packet counts, covered by the figure benches).
 //
-// Flat-arena probe throughput (EXPERIMENTS.md E14): passing
+// D-tree flat-arena probe throughput (EXPERIMENTS.md E14): passing
 // --bench-json=PATH switches on a self-verifying measurement pass that
-// pits the per-probe byte decoders against the flat-arena engines
+// pits the D-tree's per-probe byte decoder against its flat-arena engine
 // (DESIGN.md §12) on SCALE-U subdivisions up to N=100k, then writes the
-// ns/probe table to PATH. Before any timing, every configuration is
+// ns/probe table to PATH through the shared BenchRecorder (one cell per
+// N, plus the host block). Before any timing, every configuration is
 // checked query-by-query against the byte decoder — the bit-identical
 // oracle — and any mismatch exits nonzero, so a CI bench run doubles as
 // a correctness gate. Remaining arguments pass through to
@@ -22,11 +23,8 @@
 #include <string>
 #include <vector>
 
-#include "baselines/kirkpatrick/arena.h"
 #include "baselines/kirkpatrick/kirkpatrick.h"
-#include "baselines/rstar/arena.h"
 #include "baselines/rstar/rstar.h"
-#include "baselines/trapmap/arena.h"
 #include "baselines/trapmap/trapmap.h"
 #include "broadcast/experiment.h"
 #include "common/rng.h"
@@ -35,6 +33,7 @@
 #include "dtree/dtree.h"
 #include "dtree/serialize.h"
 #include "subdivision/voronoi.h"
+#include "bench_util.h"
 #include "workload/datasets.h"
 
 namespace {
@@ -116,9 +115,11 @@ void BM_TrianTreeBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_TrianTreeBuild)->Arg(100)->Arg(500)->Arg(1000);
 
+constexpr uint64_t kQuerySeed = 5;
+
 std::vector<geom::Point> SampleQueries(const sub::Subdivision& sub,
                                        size_t count) {
-  Rng rng(5);
+  Rng rng(kQuerySeed);
   const geom::BBox& a = sub.service_area();
   std::vector<geom::Point> queries;
   queries.reserve(count);
@@ -264,18 +265,12 @@ void BM_ThreadPoolParallelFor(benchmark::State& state) {
 BENCHMARK(BM_ThreadPoolParallelFor)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
 // ---------------------------------------------------------------------------
-// --bench-json measurement pass: decode-per-probe vs flat arena, verified.
+// --bench-json measurement pass: D-tree decode-per-probe vs flat arena,
+// verified.
 // ---------------------------------------------------------------------------
 
-struct ProbeMeasurement {
-  std::string index;
-  int n = 0;
-  size_t arena_bytes = 0;
-  int verified_queries = 0;
-  double decode_ns = 0.0;
-  double arena_ns = 0.0;
-  double speedup = 0.0;
-};
+constexpr int kVerifyQueries = 4096;
+constexpr int kPacketCapacity = 256;
 
 double NowSeconds() {
   return std::chrono::duration<double>(
@@ -300,30 +295,25 @@ double TimeProbeNs(const std::vector<geom::Point>& queries, Fn&& fn) {
   return elapsed * 1e9 / static_cast<double>(calls);
 }
 
-/// Compares the byte decoder (oracle) against the arena engine on every
-/// query, then times both. `decode` returns the region via Result and
-/// appends the read-log to its vector argument. When `compare_packets` is
-/// false only the region is pinned (the R*-tree arena intentionally logs
-/// memory-Probe-style packets, not the wire walk's header peeks).
-template <typename DecodeFn>
-bool GuardAndMeasure(const std::string& index_name, int n,
-                     DecodeFn&& decode, const bcast::FlatProbeEngine& engine,
-                     bool compare_packets,
-                     const std::vector<geom::Point>& queries,
-                     ProbeMeasurement* out) {
+/// Compares the D-tree byte decoder (oracle) against the arena on every
+/// query: region, packet log and failure code must all agree. Prints the
+/// first divergence and returns false.
+bool VerifyArena(int n, const bcast::PacketBuffer& packets,
+                 bool early_termination, const core::DTreeArena& arena,
+                 const std::vector<geom::Point>& queries) {
   std::vector<int> read;
   bcast::ProbeTrace trace;
   for (size_t i = 0; i < queries.size(); ++i) {
     const geom::Point& p = queries[i];
     read.clear();
-    Result<int> oracle = decode(p, &read);
-    const Status st = engine.ProbeInto(p, &trace);
+    const Result<int> oracle = core::QueryFromPackets(
+        packets, kPacketCapacity, early_termination, p, &read);
+    const Status st = arena.ProbeInto(p, &trace);
     if (!oracle.ok() || !st.ok()) {
-      if (oracle.ok() != st.ok() ||
-          oracle.status().code() != st.code()) {
+      if (oracle.ok() != st.ok() || oracle.status().code() != st.code()) {
         std::fprintf(stderr,
-                     "FAIL %s n=%d query %zu: oracle '%s' vs arena '%s'\n",
-                     index_name.c_str(), n, i,
+                     "FAIL dtree n=%d query %zu: oracle '%s' vs arena '%s'\n",
+                     n, i,
                      oracle.ok() ? "ok" : oracle.status().ToString().c_str(),
                      st.ok() ? "ok" : st.ToString().c_str());
         return false;
@@ -332,189 +322,86 @@ bool GuardAndMeasure(const std::string& index_name, int n,
     }
     if (oracle.value() != trace.region) {
       std::fprintf(stderr,
-                   "FAIL %s n=%d query %zu (%.17g, %.17g): oracle region %d "
-                   "vs arena region %d\n",
-                   index_name.c_str(), n, i, p.x, p.y, oracle.value(),
-                   trace.region);
+                   "FAIL dtree n=%d query %zu (%.17g, %.17g): oracle region "
+                   "%d vs arena region %d\n",
+                   n, i, p.x, p.y, oracle.value(), trace.region);
       return false;
     }
-    if (compare_packets && read != trace.packets) {
+    if (read != trace.packets) {
       std::fprintf(stderr,
-                   "FAIL %s n=%d query %zu: packet log diverges "
+                   "FAIL dtree n=%d query %zu: packet log diverges "
                    "(oracle %zu packets, arena %zu)\n",
-                   index_name.c_str(), n, i, read.size(),
-                   trace.packets.size());
+                   n, i, read.size(), trace.packets.size());
       return false;
     }
   }
-
-  out->index = index_name;
-  out->n = n;
-  out->arena_bytes = engine.ArenaBytes();
-  out->verified_queries = static_cast<int>(queries.size());
-  out->decode_ns = TimeProbeNs(queries, [&](const geom::Point& p) {
-    read.clear();
-    benchmark::DoNotOptimize(decode(p, &read));
-  });
-  out->arena_ns = TimeProbeNs(queries, [&](const geom::Point& p) {
-    benchmark::DoNotOptimize(engine.ProbeInto(p, &trace));
-  });
-  out->speedup = out->decode_ns / out->arena_ns;
-  std::printf("%-10s n=%-7d decode %8.1f ns/probe   arena %8.1f ns/probe   "
-              "speedup %5.2fx   arena %zu bytes\n",
-              index_name.c_str(), n, out->decode_ns, out->arena_ns,
-              out->speedup, out->arena_bytes);
-  std::fflush(stdout);
   return true;
 }
 
-constexpr int kVerifyQueries = 4096;
-constexpr int kPacketCapacity = 256;
-
+/// Builds the D-tree arena for `sub`, verifies it against the decoder,
+/// times both engines and records one cell.
 bool MeasureDTree(const sub::Subdivision& sub, int n,
-                  std::vector<ProbeMeasurement>* results) {
+                  bench::BenchRecorder* recorder) {
+  const auto t0 = std::chrono::steady_clock::now();
   core::DTree::Options o;
   o.packet_capacity = kPacketCapacity;
   auto tree_r = core::DTree::Build(sub, o);
   if (!tree_r.ok()) return false;
   const core::DTree& tree = tree_r.value();
+  const bool early = tree.options().early_termination;
   auto packets_r = core::SerializeDTreeFlat(tree);
   if (!packets_r.ok()) return false;
   const bcast::PacketBuffer& packets = packets_r.value();
-  auto arena_r = core::DTreeArena::Build(
-      packets, kPacketCapacity, /*framed=*/false,
-      tree.options().early_termination, tree.num_regions());
+  auto arena_r = core::DTreeArena::Build(packets, kPacketCapacity,
+                                         /*framed=*/false, early,
+                                         tree.num_regions());
   if (!arena_r.ok()) return false;
+  const core::DTreeArena& arena = arena_r.value();
   const auto queries = SampleQueries(sub, kVerifyQueries);
-  ProbeMeasurement m;
-  if (!GuardAndMeasure(
-          "dtree", n,
-          [&](const geom::Point& p, std::vector<int>* read) {
-            return core::QueryFromPackets(packets, kPacketCapacity,
-                                          tree.options().early_termination,
-                                          p, read);
-          },
-          arena_r.value(), /*compare_packets=*/true, queries, &m)) {
-    return false;
-  }
-  results->push_back(m);
-  return true;
-}
+  if (!VerifyArena(n, packets, early, arena, queries)) return false;
 
-bool MeasureBaselines(const sub::Subdivision& sub, int n,
-                      std::vector<ProbeMeasurement>* results) {
-  const auto queries = SampleQueries(sub, kVerifyQueries);
-  const int num_regions = sub.NumRegions();
-  {
-    baselines::TrapMap::Options o;
-    o.packet_capacity = kPacketCapacity;
-    auto map_r = baselines::TrapMap::Build(sub, o);
-    if (!map_r.ok()) return false;
-    auto packets_r = map_r.value().SerializePackets();
-    if (!packets_r.ok()) return false;
-    const auto& packets = packets_r.value();
-    auto arena_r = baselines::TrapMapArena::Build(
-        packets, kPacketCapacity, /*framed=*/false, num_regions);
-    if (!arena_r.ok()) return false;
-    ProbeMeasurement m;
-    if (!GuardAndMeasure(
-            "trapmap", n,
-            [&](const geom::Point& p, std::vector<int>* read) {
-              return baselines::TrapMap::QueryFromPackets(
-                  packets, kPacketCapacity, /*framed=*/false, num_regions, p,
-                  read);
-            },
-            arena_r.value(), /*compare_packets=*/true, queries, &m)) {
-      return false;
-    }
-    results->push_back(m);
-  }
-  {
-    baselines::TrianTree::Options o;
-    o.packet_capacity = kPacketCapacity;
-    auto tree_r = baselines::TrianTree::Build(sub, o);
-    if (!tree_r.ok()) return false;
-    auto packets_r = tree_r.value().SerializePackets();
-    if (!packets_r.ok()) return false;
-    const auto& packets = packets_r.value();
-    const auto roots = tree_r.value().RootLocations();
-    auto arena_r = baselines::TrianTreeArena::Build(
-        packets, kPacketCapacity, /*framed=*/false, roots, num_regions);
-    if (!arena_r.ok()) return false;
-    ProbeMeasurement m;
-    if (!GuardAndMeasure(
-            "kirkpatrick", n,
-            [&](const geom::Point& p, std::vector<int>* read) {
-              return baselines::TrianTree::QueryFromPackets(
-                  packets, kPacketCapacity, /*framed=*/false, roots,
-                  num_regions, p, read);
-            },
-            arena_r.value(), /*compare_packets=*/true, queries, &m)) {
-      return false;
-    }
-    results->push_back(m);
-  }
-  {
-    baselines::RStarTree::Options o;
-    o.packet_capacity = kPacketCapacity;
-    auto tree_r = baselines::RStarTree::Build(sub, o);
-    if (!tree_r.ok()) return false;
-    auto packets_r = tree_r.value().SerializePackets();
-    if (!packets_r.ok()) return false;
-    const auto& packets = packets_r.value();
-    auto arena_r = baselines::RStarArena::Build(
-        packets, kPacketCapacity, /*framed=*/false, num_regions);
-    if (!arena_r.ok()) return false;
-    ProbeMeasurement m;
-    if (!GuardAndMeasure(
-            "rstar", n,
-            [&](const geom::Point& p, std::vector<int>* read) {
-              return baselines::RStarTree::QueryFromPackets(
-                  packets, kPacketCapacity, /*framed=*/false, num_regions, p,
-                  read);
-            },
-            arena_r.value(), /*compare_packets=*/false, queries, &m)) {
-      return false;
-    }
-    results->push_back(m);
-  }
-  return true;
-}
+  std::vector<int> read;
+  const double decode_ns = TimeProbeNs(queries, [&](const geom::Point& p) {
+    read.clear();
+    benchmark::DoNotOptimize(
+        core::QueryFromPackets(packets, kPacketCapacity, early, p, &read));
+  });
+  bcast::ProbeTrace trace;
+  const double arena_ns = TimeProbeNs(queries, [&](const geom::Point& p) {
+    benchmark::DoNotOptimize(arena.ProbeInto(p, &trace));
+  });
+  const double speedup = decode_ns / arena_ns;
+  std::printf("dtree n=%-7d decode %8.1f ns/probe   arena %8.1f ns/probe   "
+              "speedup %5.2fx   arena %zu bytes\n",
+              n, decode_ns, arena_ns, speedup, arena.ArenaBytes());
+  std::fflush(stdout);
 
-bool WriteJson(const std::string& path,
-               const std::vector<ProbeMeasurement>& results) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s for writing\n", path.c_str());
-    return false;
-  }
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"bench\": \"bench_micro probe throughput\",\n");
-  std::fprintf(f, "  \"packet_capacity\": %d,\n", kPacketCapacity);
-  std::fprintf(f, "  \"verify_queries\": %d,\n", kVerifyQueries);
-  std::fprintf(f, "  \"results\": [\n");
-  for (size_t i = 0; i < results.size(); ++i) {
-    const ProbeMeasurement& m = results[i];
-    std::fprintf(f,
-                 "    {\"index\": \"%s\", \"n\": %d, "
-                 "\"decode_ns_per_probe\": %.1f, "
-                 "\"arena_ns_per_probe\": %.1f, \"speedup\": %.2f, "
-                 "\"arena_bytes\": %zu, \"verified_queries\": %d}%s\n",
-                 m.index.c_str(), m.n, m.decode_ns, m.arena_ns, m.speedup,
-                 m.arena_bytes, m.verified_queries,
-                 i + 1 < results.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
+  char extra[256];
+  std::snprintf(extra, sizeof(extra),
+                ", \"index\": \"dtree\", \"n\": %d, "
+                "\"packet_capacity\": %d, \"decode_ns_per_probe\": %.1f, "
+                "\"arena_ns_per_probe\": %.1f, \"speedup\": %.2f, "
+                "\"arena_bytes\": %zu, \"verified_queries\": %d",
+                n, kPacketCapacity, decode_ns, arena_ns, speedup,
+                arena.ArenaBytes(), kVerifyQueries);
+  recorder->Record("SCALE-U" + std::to_string(n) + "/dtree",
+                   bench::SecondsSince(t0), 1e9 / arena_ns,
+                   /*cell_threads=*/1, bench::CellPercentiles{}, extra);
   return true;
 }
 
 /// Runs the verified decode-vs-arena measurement matrix and writes the
 /// JSON table. Returns false (-> nonzero exit) on any verification
-/// failure: the arena engines must agree with the byte decoders on every
-/// sampled query before a single number is reported.
+/// failure: a configuration is timed and recorded only after the arena
+/// agrees with the byte decoder on every sampled query.
 bool RunProbeThroughputPass(const std::string& json_path) {
-  std::vector<ProbeMeasurement> results;
+  bench::BenchFlags flags;
+  flags.queries = kVerifyQueries;
+  flags.seed = kQuerySeed;
+  flags.threads = 1;
+  flags.bench_json = json_path;
+  bench::BenchRecorder recorder("bench_micro dtree arena probe throughput",
+                                flags);
   for (int n : {1000, 20000, 100000}) {
     auto ds = workload::MakeScaleDataset(
         n, workload::ScaleDistribution::kUniform);
@@ -523,13 +410,10 @@ bool RunProbeThroughputPass(const std::string& json_path) {
                    ds.status().ToString().c_str());
       return false;
     }
-    if (!MeasureDTree(ds.value().subdivision, n, &results)) return false;
-    if (n <= 20000 &&
-        !MeasureBaselines(ds.value().subdivision, n, &results)) {
-      return false;
-    }
+    if (!MeasureDTree(ds.value().subdivision, n, &recorder)) return false;
   }
-  return WriteJson(json_path, results);
+  recorder.Flush();
+  return true;
 }
 
 }  // namespace

@@ -26,8 +26,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "baselines/kirkpatrick/kirkpatrick.h"
@@ -211,9 +213,47 @@ struct CellPercentiles {
   }
 };
 
+// Build type of the bench binaries, set by bench/CMakeLists.txt.
+#ifndef DTREE_BUILD_TYPE
+#define DTREE_BUILD_TYPE "unknown"
+#endif
+
+/// The host CPU's model name from /proc/cpuinfo, with JSON string
+/// metacharacters dropped; "unknown" where the file is unreadable.
+inline std::string HostCpuModel() {
+  std::ifstream in("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(in, line)) {
+    const size_t colon = line.find(':');
+    if (line.rfind("model name", 0) != 0 || colon == std::string::npos) {
+      continue;
+    }
+    std::string model;
+    for (char c : line.substr(colon + 1)) {
+      if (c != '"' && c != '\\' && static_cast<unsigned char>(c) >= 0x20) {
+        model.push_back(c);
+      }
+    }
+    const size_t first = model.find_first_not_of(' ');
+    return first == std::string::npos ? "unknown" : model.substr(first);
+  }
+  return "unknown";
+}
+
+inline std::string HostCompiler() {
+#if defined(__clang__)
+  return std::string("clang ") + __clang_version__;
+#elif defined(__GNUC__)
+  return std::string("gcc ") + __VERSION__;
+#else
+  return "unknown";
+#endif
+}
+
 /// Collects per-cell wall-clock timings (plus optional distribution
 /// percentiles) and writes them as JSON on Flush()/destruction:
-///   {"bench": ..., "threads": T, "cells":
+///   {"bench": ..., "host": {"nproc": P, "cpu_model": ..., "compiler": ...,
+///    "build_type": ...}, "threads": T, "cells":
 ///    [{"cell": id, "wall_s": s, "qps": q, "threads": T,
 ///      "p50_latency": ..., ..., "max_tuning": ...}, ...]}
 class BenchRecorder {
@@ -248,10 +288,15 @@ class BenchRecorder {
       return;
     }
     std::fprintf(f,
-                 "{\n  \"bench\": \"%s\",\n  \"threads\": %d,\n"
+                 "{\n  \"bench\": \"%s\",\n"
+                 "  \"host\": {\"nproc\": %u, \"cpu_model\": \"%s\", "
+                 "\"compiler\": \"%s\", \"build_type\": \"%s\"},\n"
+                 "  \"threads\": %d,\n"
                  "  \"queries_per_cell\": %d,\n  \"seed\": %llu,\n"
                  "  \"cells\": [",
-                 bench_name_.c_str(), threads_, queries_,
+                 bench_name_.c_str(), std::thread::hardware_concurrency(),
+                 HostCpuModel().c_str(), HostCompiler().c_str(),
+                 DTREE_BUILD_TYPE, threads_, queries_,
                  static_cast<unsigned long long>(seed_));
     for (size_t i = 0; i < cells_.size(); ++i) {
       std::fprintf(f,

@@ -7,16 +7,20 @@
 // CRC-verified cycle ONCE into a structure-of-arrays arena (node records
 // in contiguous typed arrays, child links as 32-bit indices, partition
 // coordinates in separate x[]/y[] arrays) and serves every subsequent
-// probe from that arena. Engines replicate the wire decoder's exact
+// probe from that arena. An engine replicates the wire decoder's exact
 // arithmetic — same f32→double promotions, same comparison order, same
 // ray-crossing formula — so an arena probe returns byte-identical results
 // to the per-probe decoder (enforced by tests/arena_test and by the
-// bench_micro verification guard).
+// bench_micro verification guard). The one engine is the D-tree's
+// (dtree/arena.h); the interface lives here so this library can wrap it
+// without depending on dtree/.
 //
 // ArenaIndex adapts an engine back to the AirIndex interface while
 // reporting the wrapped index's identity (name, packet count, byte size),
-// so BroadcastChannel::Simulate and bcast::RunExperiment produce
-// byte-identical output with the arena enabled. See DESIGN.md §12.
+// so BroadcastChannel::Simulate and bcast::RunExperiment produce the same
+// size and layout columns with the arena enabled. Probe answers are the
+// wire's, which differ from the in-memory index's on points within ~1e-6
+// of a border (DESIGN.md §12).
 
 #ifndef DTREE_BROADCAST_ARENA_H_
 #define DTREE_BROADCAST_ARENA_H_
@@ -39,8 +43,8 @@ class FlatProbeEngine {
   virtual ~FlatProbeEngine() = default;
 
   /// Fills `*trace` with the same region and packet log the wire decoder
-  /// (and the wrapped index's Probe) would produce for p. Must clear any
-  /// previous contents of the trace's vectors without shrinking them.
+  /// would produce for p. Must clear any previous contents of the trace's
+  /// vectors without shrinking them.
   virtual Status ProbeInto(const geom::Point& p,
                            ProbeTrace* trace) const = 0;
 
@@ -51,8 +55,7 @@ class FlatProbeEngine {
 
 /// AirIndex adapter over a FlatProbeEngine. Reports the wrapped index's
 /// identity so experiment results (index name, packet counts, index bytes)
-/// are byte-identical whether probes run through the base index or the
-/// arena.
+/// are the same whether probes run through the base index or the arena.
 class ArenaIndex final : public AirIndex {
  public:
   ArenaIndex(std::string name, int num_index_packets, size_t index_bytes,

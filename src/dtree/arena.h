@@ -12,8 +12,11 @@
 // arithmetic — the same f32→double promotions (exact), the same §4.4
 // early-termination comparisons in the same order, the same
 // division-based ray-crossing intercept, the same reconstructed-bound
-// rule — and the same packet accounting the wire read-log produces, which
-// equals DTree::Probe's span accounting. tests/arena_test pins both.
+// rule — and the same packet accounting the wire read-log produces.
+// tests/arena_test pins both against QueryFromPackets. DTree::Probe
+// decides in double geometry, not the wire's f32, so on points within
+// ~1e-6 of a partition border its answer can differ from the arena's
+// (DESIGN.md §12).
 
 #ifndef DTREE_DTREE_ARENA_H_
 #define DTREE_DTREE_ARENA_H_
@@ -77,9 +80,10 @@ class DTreeArena final : public bcast::FlatProbeEngine {
 
 /// Server-side arena for a built D-tree: serializes the tree (flat) and
 /// decodes the bytes back, annotating nodes with origins so probe traces
-/// — region, packets, AND origins — are identical to tree.Probe's. The
-/// returned ArenaIndex reports the tree's own name/packet/byte identity,
-/// making experiment output byte-identical with the arena enabled.
+/// carry the same origins tree.Probe's do. The returned ArenaIndex
+/// reports the tree's own name/packet/byte identity, so experiment output
+/// is byte-identical with the arena enabled wherever no query falls in a
+/// border band where f32 and double geometry disagree.
 Result<bcast::ArenaIndex> BuildDTreeArenaIndex(const DTree& tree);
 
 /// Client-side arena straight from received CRC-framed packets (the

@@ -61,7 +61,7 @@ Result<std::vector<std::vector<uint8_t>>> SerializeDTree(const DTree& tree);
 /// termination rule a real client would. Accepts any packet
 /// representation PacketSource can view (vector-of-vectors and
 /// PacketBuffer convert implicitly). Intended for round-trip tests and as
-/// the flat-arena engines' bit-identical oracle.
+/// the flat-arena engine's bit-identical oracle.
 Result<int> QueryFromPackets(bcast::PacketSource packets,
                              int packet_capacity, bool early_termination,
                              const geom::Point& p,

@@ -96,25 +96,6 @@ double Polygon::DistanceToBoundary(const Point& p) const {
   return best;
 }
 
-bool PointInRing(const double* xs, const double* ys, size_t n,
-                 const Point& p) {
-  if (n < 3) return false;
-  for (size_t i = 0; i < n; ++i) {
-    const size_t j = (i + 1) % n;
-    if (DistanceToSegment({xs[i], ys[i]}, {xs[j], ys[j]}, p) <= kGeomEps) {
-      return true;
-    }
-  }
-  int crossings = 0;
-  for (size_t i = 0; i < n; ++i) {
-    const size_t j = (i + 1) % n;
-    if (RayRightCrossesSegment(p, {xs[i], ys[i]}, {xs[j], ys[j]})) {
-      ++crossings;
-    }
-  }
-  return (crossings % 2) == 1;
-}
-
 bool RingContainsHalfOpen(const double* xs, const double* ys, size_t n,
                           const Point& p) {
   if (n < 3) return false;
@@ -126,16 +107,6 @@ bool RingContainsHalfOpen(const double* xs, const double* ys, size_t n,
     }
   }
   return (crossings % 2) == 1;
-}
-
-double RingDistanceToBoundary(const double* xs, const double* ys, size_t n,
-                              const Point& p) {
-  double best = std::numeric_limits<double>::infinity();
-  for (size_t i = 0; i < n; ++i) {
-    const size_t j = (i + 1) % n;
-    best = std::min(best, DistanceToSegment({xs[i], ys[i]}, {xs[j], ys[j]}, p));
-  }
-  return best;
 }
 
 bool Polygon::IsSimple() const {

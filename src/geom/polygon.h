@@ -110,24 +110,13 @@ class Polygon {
   std::vector<Point> ring_;
 };
 
-/// Containment test over a vertex ring stored structure-of-arrays
-/// (vertex i is (xs[i], ys[i]); the ring closes implicitly, first vertex
-/// not repeated). Bit-identical to Polygon::Contains on the same ring —
-/// boundary check first, then ray-crossing parity — but runs over
-/// contiguous coordinate arrays, which is what the flat-arena probe
-/// engines store instead of materialized Polygon objects.
-bool PointInRing(const double* xs, const double* ys, size_t n,
-                 const Point& p);
-
-/// SoA twin of Polygon::ContainsHalfOpen: pure crossing parity, no boundary
-/// pre-check, bit-identical to ContainsHalfOpen on the same ring. Partitions
-/// a tiling uniquely (see ContainsHalfOpen).
+/// SoA twin of Polygon::ContainsHalfOpen over a vertex ring stored
+/// structure-of-arrays (vertex i is (xs[i], ys[i]); the ring closes
+/// implicitly, first vertex not repeated): pure crossing parity, no
+/// boundary pre-check, bit-identical to ContainsHalfOpen on the same ring.
+/// Partitions a tiling uniquely (see ContainsHalfOpen).
 bool RingContainsHalfOpen(const double* xs, const double* ys, size_t n,
                           const Point& p);
-
-/// Bit-identical to Polygon::DistanceToBoundary over the same SoA ring.
-double RingDistanceToBoundary(const double* xs, const double* ys, size_t n,
-                              const Point& p);
 
 /// Clips `poly` by the half-plane {p : a*p.x + b*p.y + c <= 0} using
 /// Sutherland-Hodgman. The input must be convex for the output to be a

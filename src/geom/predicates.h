@@ -49,8 +49,8 @@ bool RayDownCrossesSegment(const Point& p, const Point& a, const Point& b);
 /// Crossing counts over `n` independent segments stored structure-of-
 /// arrays (segment i is (ax[i], ay[i]) -> (bx[i], by[i])). Exactly
 /// equivalent to calling the predicates above per segment, but the
-/// branch-light contiguous loop is what the flat-arena probe engines
-/// (DESIGN.md §12) run per query, so it must stay bit-identical to the
+/// branch-light contiguous loop is what the D-tree flat-arena probe engine
+/// (DESIGN.md §12) runs per query, so it must stay bit-identical to the
 /// scalar forms: same division-based intercept, same strict comparisons.
 int CountRayRightCrossings(const double* ax, const double* ay,
                            const double* bx, const double* by, size_t n,

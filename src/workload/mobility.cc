@@ -81,8 +81,9 @@ Status ValidateMobilityOptions(const MobilityOptions& options) {
   if (!options.enabled) return Status::OK();
   switch (options.model) {
     case MobilityModel::kGaussianHop:
-      if (!(options.hop_scale > 0.0)) {
-        return Status::InvalidArgument("mobility hop_scale must be > 0");
+      if (!(options.hop_scale > 0.0 && options.hop_scale <= kMaxHopScale)) {
+        return Status::InvalidArgument(
+            "mobility hop_scale must be in (0, 1e12]");
       }
       break;
     case MobilityModel::kRandomWaypoint:

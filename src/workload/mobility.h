@@ -48,12 +48,17 @@ struct MobilityOptions {
   bool enabled = false;
   MobilityModel model = MobilityModel::kGaussianHop;
   /// kGaussianHop: per-axis standard deviation of one hop, in service-area
-  /// units. Must be > 0 when the model is kGaussianHop.
+  /// units. Must be in (0, kMaxHopScale] when the model is kGaussianHop.
   double hop_scale = 10.0;
   /// kRandomWaypoint: straight-line distance traveled per query toward the
   /// current waypoint. Must be > 0 when the model is kRandomWaypoint.
   double waypoint_step = 25.0;
 };
+
+/// Largest accepted hop_scale. A hop this wide is already uniform over any
+/// service area after reflection. Near DBL_MAX the draw overflows to inf,
+/// and reflecting inf yields a NaN position.
+inline constexpr double kMaxHopScale = 1e12;
 
 /// Base of the RNG sub-stream family reserved for mobility walks.
 ///
@@ -83,7 +88,8 @@ geom::Point MobilityStep(const MobilityOptions& options,
                          const geom::BBox& area, MobilityState* state,
                          Rng* rng);
 
-/// Validates model parameters (positive scales, non-degenerate area).
+/// Validates model parameters: a finite hop_scale in (0, kMaxHopScale],
+/// a positive waypoint_step.
 Status ValidateMobilityOptions(const MobilityOptions& options);
 
 }  // namespace dtree::workload

@@ -1,12 +1,11 @@
-// Differential tests for the flat-arena probe engines (DESIGN.md §12).
+// Differential tests for the D-tree flat-arena probe engine (DESIGN.md
+// §12).
 //
-// The per-probe byte decoders (dtree QueryFromPackets, baselines
-// QueryFromPackets) are the bit-identical oracle: for every query the
-// arena must return the same region and — where the arena replicates the
-// wire read-log (D-tree, trap-tree, trian-tree) — the same packet list.
-// The R*-tree arena pins the region only (its packet log mirrors the
-// memory Probe, not the decoder's placement-walk peeks; see
-// baselines/rstar/arena.h).
+// The per-probe byte decoder (dtree QueryFromPackets) is the bit-identical
+// oracle: for every query the arena must return the same region and the
+// same packet list. Both use the wire's f32 geometry, so on border-band
+// points they may differ from the in-memory DTree::Probe, which uses
+// double geometry; the oracle here is always the decoder.
 //
 // Corruption tests pin the safety contract: a framed arena build touches
 // every packet through the CRC-verifying reader, so a flipped bit fails
@@ -18,12 +17,6 @@
 #include <utility>
 #include <vector>
 
-#include "baselines/kirkpatrick/arena.h"
-#include "baselines/kirkpatrick/kirkpatrick.h"
-#include "baselines/rstar/arena.h"
-#include "baselines/rstar/rstar.h"
-#include "baselines/trapmap/arena.h"
-#include "baselines/trapmap/trapmap.h"
 #include "broadcast/arena.h"
 #include "broadcast/experiment.h"
 #include "broadcast/frame.h"
@@ -59,13 +52,12 @@ std::vector<Point> AreaQueries(const sub::Subdivision& sub, int n,
 }
 
 // Compares the arena probe against an oracle outcome for one query.
-// Either both succeed with the same region (and packet list when
-// `compare_packets`) or both fail with the same status code.
+// Either both succeed with the same region and packet list or both fail
+// with the same status code.
 void ExpectSameOutcome(const Result<int>& oracle,
                        const std::vector<int>& oracle_packets,
                        const Status& arena_st,
-                       const bcast::ProbeTrace& trace, bool compare_packets,
-                       const Point& p) {
+                       const bcast::ProbeTrace& trace, const Point& p) {
   if (!oracle.ok()) {
     ASSERT_FALSE(arena_st.ok())
         << "arena succeeded where the decoder failed at (" << p.x << ", "
@@ -80,13 +72,11 @@ void ExpectSameOutcome(const Result<int>& oracle,
       << p.y << "): " << arena_st.ToString();
   EXPECT_EQ(oracle.value(), trace.region)
       << "region mismatch at (" << p.x << ", " << p.y << ")";
-  if (compare_packets) {
-    EXPECT_EQ(oracle_packets, trace.packets)
-        << "packet-log mismatch at (" << p.x << ", " << p.y << ")";
-  }
+  EXPECT_EQ(oracle_packets, trace.packets)
+      << "packet-log mismatch at (" << p.x << ", " << p.y << ")";
 }
 
-// --- D-tree ---------------------------------------------------------------
+// --- Decoder differential -------------------------------------------------
 
 void RunDTreeDifferential(const sub::Subdivision& sub, int capacity,
                           bool early_termination, int num_queries,
@@ -111,7 +101,7 @@ void RunDTreeDifferential(const sub::Subdivision& sub, int capacity,
     const Result<int> oracle = core::QueryFromPackets(
         packets_r.value(), capacity, early_termination, p, &read);
     const Status st = arena.ProbeInto(p, &trace);
-    ExpectSameOutcome(oracle, read, st, trace, /*compare_packets=*/true, p);
+    ExpectSameOutcome(oracle, read, st, trace, p);
     if (::testing::Test::HasFatalFailure()) return;
   }
 }
@@ -152,104 +142,9 @@ TEST(DTreeArenaTest, MatchesDecoderAtScale100k) {
                        /*early_termination=*/true, 512, 104);
 }
 
-// --- Baselines ------------------------------------------------------------
-
-void RunBaselineDifferentials(const sub::Subdivision& sub, int capacity,
-                              int num_queries, uint64_t seed) {
-  const int n = sub.NumRegions();
-  const std::vector<Point> queries = AreaQueries(sub, num_queries, seed);
-  std::vector<int> read;
-  bcast::ProbeTrace trace;
-
-  {
-    SCOPED_TRACE("trapmap");
-    baselines::TrapMap::Options o;
-    o.packet_capacity = capacity;
-    auto map_r = baselines::TrapMap::Build(sub, o);
-    ASSERT_TRUE(map_r.ok()) << map_r.status().ToString();
-    auto pk_r = map_r.value().SerializePackets();
-    ASSERT_TRUE(pk_r.ok()) << pk_r.status().ToString();
-    auto ar_r = baselines::TrapMapArena::Build(pk_r.value(), capacity,
-                                               /*framed=*/false, n);
-    ASSERT_TRUE(ar_r.ok()) << ar_r.status().ToString();
-    for (const Point& p : queries) {
-      read.clear();
-      const Result<int> oracle = baselines::TrapMap::QueryFromPackets(
-          pk_r.value(), capacity, /*framed=*/false, n, p, &read);
-      const Status st = ar_r.value().ProbeInto(p, &trace);
-      ExpectSameOutcome(oracle, read, st, trace, /*compare_packets=*/true, p);
-      if (::testing::Test::HasFatalFailure()) return;
-    }
-  }
-  {
-    SCOPED_TRACE("kirkpatrick");
-    baselines::TrianTree::Options o;
-    o.packet_capacity = capacity;
-    auto tree_r = baselines::TrianTree::Build(sub, o);
-    ASSERT_TRUE(tree_r.ok()) << tree_r.status().ToString();
-    auto pk_r = tree_r.value().SerializePackets();
-    ASSERT_TRUE(pk_r.ok()) << pk_r.status().ToString();
-    const auto roots = tree_r.value().RootLocations();
-    auto ar_r = baselines::TrianTreeArena::Build(pk_r.value(), capacity,
-                                                 /*framed=*/false, roots, n);
-    ASSERT_TRUE(ar_r.ok()) << ar_r.status().ToString();
-    for (const Point& p : queries) {
-      read.clear();
-      const Result<int> oracle = baselines::TrianTree::QueryFromPackets(
-          pk_r.value(), capacity, /*framed=*/false, roots, n, p, &read);
-      const Status st = ar_r.value().ProbeInto(p, &trace);
-      ExpectSameOutcome(oracle, read, st, trace, /*compare_packets=*/true, p);
-      if (::testing::Test::HasFatalFailure()) return;
-    }
-  }
-  {
-    SCOPED_TRACE("rstar");
-    baselines::RStarTree::Options o;
-    o.packet_capacity = capacity;
-    auto tree_r = baselines::RStarTree::Build(sub, o);
-    ASSERT_TRUE(tree_r.ok()) << tree_r.status().ToString();
-    auto pk_r = tree_r.value().SerializePackets();
-    ASSERT_TRUE(pk_r.ok()) << pk_r.status().ToString();
-    auto ar_r = baselines::RStarArena::Build(pk_r.value(), capacity,
-                                             /*framed=*/false, n);
-    ASSERT_TRUE(ar_r.ok()) << ar_r.status().ToString();
-    for (const Point& p : queries) {
-      read.clear();
-      const Result<int> oracle = baselines::RStarTree::QueryFromPackets(
-          pk_r.value(), capacity, /*framed=*/false, n, p, &read);
-      const Status st = ar_r.value().ProbeInto(p, &trace);
-      // Region only: the R* arena's packet log mirrors the memory Probe.
-      ExpectSameOutcome(oracle, read, st, trace, /*compare_packets=*/false,
-                        p);
-      if (::testing::Test::HasFatalFailure()) return;
-    }
-  }
-}
-
-TEST(BaselineArenaTest, MatchDecoderOnPaperDataset) {
-  auto d_r = workload::MakeUniformDataset();
-  ASSERT_TRUE(d_r.ok()) << d_r.status().ToString();
-  RunBaselineDifferentials(d_r.value().subdivision, 128, 1500, 201);
-}
-
-TEST(BaselineArenaTest, MatchDecoderOnClustered) {
-  const sub::Subdivision sub = test::ClusteredVoronoi(400, 17);
-  RunBaselineDifferentials(sub, 256, 1000, 202);
-}
-
-TEST(BaselineArenaTest, MatchDecoderOnScaleDatasets) {
-  for (auto dist : {workload::ScaleDistribution::kUniform,
-                    workload::ScaleDistribution::kClustered}) {
-    auto d_r = workload::MakeScaleDataset(5000, dist);
-    ASSERT_TRUE(d_r.ok()) << d_r.status().ToString();
-    SCOPED_TRACE(d_r.value().name);
-    RunBaselineDifferentials(d_r.value().subdivision, 256, 500, 203);
-  }
-}
-
 // --- Thread safety --------------------------------------------------------
 
-// The arenas are immutable after Build and ProbeInto keeps per-call state
+// The arena is immutable after Build and ProbeInto keeps per-call state
 // on the stack (or in thread_local scratch), so concurrent probes from
 // 1/4/8 threads must reproduce the single-threaded outcomes exactly.
 TEST(ArenaThreadTest, ConcurrentProbesMatchDecoder) {
@@ -270,22 +165,11 @@ TEST(ArenaThreadTest, ConcurrentProbesMatchDecoder) {
                               dopt.early_termination, n);
   ASSERT_TRUE(dtree_arena_r.ok()) << dtree_arena_r.status().ToString();
 
-  baselines::RStarTree::Options ropt;
-  ropt.packet_capacity = capacity;
-  auto rtree_r = baselines::RStarTree::Build(sub, ropt);
-  ASSERT_TRUE(rtree_r.ok()) << rtree_r.status().ToString();
-  auto rpk_r = rtree_r.value().SerializePackets();
-  ASSERT_TRUE(rpk_r.ok()) << rpk_r.status().ToString();
-  auto rstar_arena_r = baselines::RStarArena::Build(rpk_r.value(), capacity,
-                                                    /*framed=*/false, n);
-  ASSERT_TRUE(rstar_arena_r.ok()) << rstar_arena_r.status().ToString();
-
-  // Single-threaded expectations from the byte decoders.
+  // Single-threaded expectations from the byte decoder.
   const std::vector<Point> queries = AreaQueries(sub, 2048, 301);
   struct Expected {
     int dtree_region;
     std::vector<int> dtree_packets;
-    int rstar_region;
   };
   std::vector<Expected> expected;
   expected.reserve(queries.size());
@@ -297,11 +181,6 @@ TEST(ArenaThreadTest, ConcurrentProbesMatchDecoder) {
     ASSERT_TRUE(d.ok()) << d.status().ToString();
     e.dtree_region = d.value();
     e.dtree_packets = read;
-    read.clear();
-    auto r = baselines::RStarTree::QueryFromPackets(
-        rpk_r.value(), capacity, /*framed=*/false, n, p, &read);
-    ASSERT_TRUE(r.ok()) << r.status().ToString();
-    e.rstar_region = r.value();
     expected.push_back(std::move(e));
   }
 
@@ -318,10 +197,6 @@ TEST(ArenaThreadTest, ConcurrentProbesMatchDecoder) {
         if (!dtree_arena_r.value().ProbeInto(p, &trace).ok() ||
             trace.region != expected[i].dtree_region ||
             trace.packets != expected[i].dtree_packets) {
-          mismatches.fetch_add(1, std::memory_order_relaxed);
-        }
-        if (!rstar_arena_r.value().ProbeInto(p, &trace).ok() ||
-            trace.region != expected[i].rstar_region) {
           mismatches.fetch_add(1, std::memory_order_relaxed);
         }
       }
@@ -343,91 +218,23 @@ TEST(ArenaCorruptionTest, FramedBuildRejectsFlippedBit) {
   const int capacity = 128;
   const int n = sub.NumRegions();
 
-  // D-tree.
-  {
-    SCOPED_TRACE("dtree");
-    core::DTree::Options o;
-    o.packet_capacity = capacity;
-    auto tree_r = core::DTree::Build(sub, o);
-    ASSERT_TRUE(tree_r.ok());
-    auto pk_r = core::SerializeDTree(tree_r.value());
-    ASSERT_TRUE(pk_r.ok());
-    auto frames = bcast::FramePackets(pk_r.value());
-    ASSERT_TRUE(core::DTreeArenaFromFrames(frames, capacity,
-                                           o.early_termination, n)
-                    .ok());
-    bcast::FlipBit(&frames[0], 37);
-    auto bad = core::DTreeArenaFromFrames(frames, capacity,
-                                          o.early_termination, n);
-    ASSERT_FALSE(bad.ok());
-    EXPECT_EQ(static_cast<int>(bad.status().code()),
-              static_cast<int>(StatusCode::kDataLoss))
-        << bad.status().ToString();
-  }
-  // Trap-tree.
-  {
-    SCOPED_TRACE("trapmap");
-    baselines::TrapMap::Options o;
-    o.packet_capacity = capacity;
-    auto map_r = baselines::TrapMap::Build(sub, o);
-    ASSERT_TRUE(map_r.ok());
-    auto pk_r = map_r.value().SerializePackets();
-    ASSERT_TRUE(pk_r.ok());
-    auto frames = bcast::FramePackets(pk_r.value());
-    ASSERT_TRUE(baselines::TrapMapArena::Build(frames, capacity,
-                                               /*framed=*/true, n)
-                    .ok());
-    bcast::FlipBit(&frames[0], 11);
-    auto bad = baselines::TrapMapArena::Build(frames, capacity,
-                                              /*framed=*/true, n);
-    ASSERT_FALSE(bad.ok());
-    EXPECT_EQ(static_cast<int>(bad.status().code()),
-              static_cast<int>(StatusCode::kDataLoss))
-        << bad.status().ToString();
-  }
-  // Trian-tree.
-  {
-    SCOPED_TRACE("kirkpatrick");
-    baselines::TrianTree::Options o;
-    o.packet_capacity = capacity;
-    auto tree_r = baselines::TrianTree::Build(sub, o);
-    ASSERT_TRUE(tree_r.ok());
-    auto pk_r = tree_r.value().SerializePackets();
-    ASSERT_TRUE(pk_r.ok());
-    const auto roots = tree_r.value().RootLocations();
-    auto frames = bcast::FramePackets(pk_r.value());
-    ASSERT_TRUE(baselines::TrianTreeArena::Build(frames, capacity,
-                                                 /*framed=*/true, roots, n)
-                    .ok());
-    bcast::FlipBit(&frames[0], 53);
-    auto bad = baselines::TrianTreeArena::Build(frames, capacity,
-                                                /*framed=*/true, roots, n);
-    ASSERT_FALSE(bad.ok());
-    EXPECT_EQ(static_cast<int>(bad.status().code()),
-              static_cast<int>(StatusCode::kDataLoss))
-        << bad.status().ToString();
-  }
-  // R*-tree.
-  {
-    SCOPED_TRACE("rstar");
-    baselines::RStarTree::Options o;
-    o.packet_capacity = capacity;
-    auto tree_r = baselines::RStarTree::Build(sub, o);
-    ASSERT_TRUE(tree_r.ok());
-    auto pk_r = tree_r.value().SerializePackets();
-    ASSERT_TRUE(pk_r.ok());
-    auto frames = bcast::FramePackets(pk_r.value());
-    ASSERT_TRUE(baselines::RStarArena::Build(frames, capacity,
-                                             /*framed=*/true, n)
-                    .ok());
-    bcast::FlipBit(&frames[0], 29);
-    auto bad = baselines::RStarArena::Build(frames, capacity,
-                                            /*framed=*/true, n);
-    ASSERT_FALSE(bad.ok());
-    EXPECT_EQ(static_cast<int>(bad.status().code()),
-              static_cast<int>(StatusCode::kDataLoss))
-        << bad.status().ToString();
-  }
+  core::DTree::Options o;
+  o.packet_capacity = capacity;
+  auto tree_r = core::DTree::Build(sub, o);
+  ASSERT_TRUE(tree_r.ok());
+  auto pk_r = core::SerializeDTree(tree_r.value());
+  ASSERT_TRUE(pk_r.ok());
+  auto frames = bcast::FramePackets(pk_r.value());
+  ASSERT_TRUE(
+      core::DTreeArenaFromFrames(frames, capacity, o.early_termination, n)
+          .ok());
+  bcast::FlipBit(&frames[0], 37);
+  auto bad =
+      core::DTreeArenaFromFrames(frames, capacity, o.early_termination, n);
+  ASSERT_FALSE(bad.ok());
+  EXPECT_EQ(static_cast<int>(bad.status().code()),
+            static_cast<int>(StatusCode::kDataLoss))
+      << bad.status().ToString();
 }
 
 // A framed (CRC-verified) build must decode to the same arena as the
@@ -553,43 +360,6 @@ TEST(ArenaSimulateTest, DTreeExperimentByteIdenticalWithArena) {
   ASSERT_TRUE(arena_res_r.ok()) << arena_res_r.status().ToString();
   ExpectResultsIdentical(base_r.value(), arena_res_r.value());
   EXPECT_GT(base_r.value().total_retries, 0);  // the ladder actually fired
-}
-
-// Baseline ArenaIndexes report the wrapped index's identity, so the
-// experiment's size/layout columns are unchanged with the arena enabled.
-TEST(ArenaSimulateTest, BaselineArenaIndexesReportBaseIdentity) {
-  auto d_r = workload::MakeUniformDataset();
-  ASSERT_TRUE(d_r.ok()) << d_r.status().ToString();
-  const sub::Subdivision& sub = d_r.value().subdivision;
-  const int n = sub.NumRegions();
-
-  baselines::TrapMap::Options to;
-  to.packet_capacity = 128;
-  auto map_r = baselines::TrapMap::Build(sub, to);
-  ASSERT_TRUE(map_r.ok());
-  auto ta_r = baselines::BuildTrapMapArenaIndex(map_r.value(), n);
-  ASSERT_TRUE(ta_r.ok()) << ta_r.status().ToString();
-  EXPECT_EQ(ta_r.value().name(), map_r.value().name());
-  EXPECT_EQ(ta_r.value().NumIndexPackets(), map_r.value().NumIndexPackets());
-  EXPECT_EQ(ta_r.value().IndexBytes(), map_r.value().IndexBytes());
-
-  baselines::TrianTree::Options ko;
-  ko.packet_capacity = 128;
-  auto kt_r = baselines::TrianTree::Build(sub, ko);
-  ASSERT_TRUE(kt_r.ok());
-  auto ka_r = baselines::BuildTrianTreeArenaIndex(kt_r.value(), n);
-  ASSERT_TRUE(ka_r.ok()) << ka_r.status().ToString();
-  EXPECT_EQ(ka_r.value().name(), kt_r.value().name());
-  EXPECT_EQ(ka_r.value().NumIndexPackets(), kt_r.value().NumIndexPackets());
-
-  baselines::RStarTree::Options ro;
-  ro.packet_capacity = 128;
-  auto rt_r = baselines::RStarTree::Build(sub, ro);
-  ASSERT_TRUE(rt_r.ok());
-  auto ra_r = baselines::BuildRStarArenaIndex(rt_r.value(), n);
-  ASSERT_TRUE(ra_r.ok()) << ra_r.status().ToString();
-  EXPECT_EQ(ra_r.value().name(), rt_r.value().name());
-  EXPECT_EQ(ra_r.value().NumIndexPackets(), rt_r.value().NumIndexPackets());
 }
 
 }  // namespace

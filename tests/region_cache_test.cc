@@ -13,6 +13,7 @@
 //    features enabled.
 
 #include <cmath>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -166,6 +167,22 @@ TEST(RegionCacheTest, ValidateRejectsBadOptions) {
   EXPECT_TRUE(ValidateCacheOptions(off).ok());
 }
 
+/// UNIFORM and a D-tree over it, shared by the driver-level tests.
+struct ExperimentRig {
+  workload::Dataset dataset;
+  core::DTree tree;
+
+  ExperimentRig()
+      : dataset(workload::MakeUniformDataset().value()),
+        tree(Build(dataset.subdivision)) {}
+
+  static core::DTree Build(const sub::Subdivision& s) {
+    core::DTree::Options topt;
+    topt.packet_capacity = 256;
+    return core::DTree::Build(s, topt).value();
+  }
+};
+
 // ---------------------------------------------------------------------
 // Mobility workload.
 
@@ -221,25 +238,51 @@ TEST(MobilityTest, ValidateRejectsBadOptions) {
   workload::MobilityOptions off;  // disabled: nothing else is checked
   off.hop_scale = 0.0;
   EXPECT_TRUE(workload::ValidateMobilityOptions(off).ok());
+
+  // A non-finite or overflowing hop turns the walk into NaN positions.
+  mopt.model = workload::MobilityModel::kGaussianHop;
+  mopt.waypoint_step = 25.0;
+  for (const double bad : {std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::quiet_NaN(), 1e308,
+                           workload::kMaxHopScale * 2.0}) {
+    mopt.hop_scale = bad;
+    EXPECT_FALSE(workload::ValidateMobilityOptions(mopt).ok()) << bad;
+  }
+  mopt.hop_scale = workload::kMaxHopScale;
+  EXPECT_TRUE(workload::ValidateMobilityOptions(mopt).ok());
+
+  // Both drivers validate the walk before running it: an extreme hop is
+  // an InvalidArgument, never a run of NaN query points.
+  ExperimentRig rig;
+  for (const double bad : {std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::quiet_NaN(),
+                           1e308}) {
+    SCOPED_TRACE(bad);
+    ExperimentOptions opt;
+    opt.packet_capacity = 256;
+    opt.num_queries = 64;
+    opt.mobility.enabled = true;
+    opt.mobility.hop_scale = bad;
+    auto r = RunExperiment(rig.tree, rig.dataset.subdivision, nullptr, opt);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument)
+        << r.status().ToString();
+
+    FleetOptions fopt;
+    fopt.packet_capacity = 256;
+    fopt.num_clients = 16;
+    fopt.sim_cycles = 1.0;
+    fopt.mobility.enabled = true;
+    fopt.mobility.hop_scale = bad;
+    auto f = RunFleet(rig.tree, rig.dataset.subdivision, fopt);
+    ASSERT_FALSE(f.ok());
+    EXPECT_EQ(f.status().code(), StatusCode::kInvalidArgument)
+        << f.status().ToString();
+  }
 }
 
 // ---------------------------------------------------------------------
 // Experiment driver wiring.
-
-struct ExperimentRig {
-  workload::Dataset dataset;
-  core::DTree tree;
-
-  ExperimentRig()
-      : dataset(workload::MakeUniformDataset().value()),
-        tree(Build(dataset.subdivision)) {}
-
-  static core::DTree Build(const sub::Subdivision& s) {
-    core::DTree::Options topt;
-    topt.packet_capacity = 256;
-    return core::DTree::Build(s, topt).value();
-  }
-};
 
 ExperimentOptions MakeMobileCacheOptions() {
   ExperimentOptions opt;
