@@ -330,26 +330,28 @@ Status TrianTree::ProbeInto(const geom::Point& p,
   const std::vector<int>* candidates = &roots_;
   for (int depth = 0; depth < bcast::kProbeStepBudget; ++depth) {
     int found = -1;
-    double best_dist = std::numeric_limits<double>::infinity();
-    int nearest = -1;
     for (int c : *candidates) {
       touch(c);
       if (tris_[c].tri.Contains(p)) {
         found = c;
         break;
       }
-      const double d = DistanceToTriangle(tris_[c].tri, p);
-      if (d < best_dist) {
-        best_dist = d;
-        nearest = c;
-      }
     }
     if (found < 0) {
-      // Numeric crack between adjacent triangles: take the nearest.
-      if (nearest < 0) {
+      // Numeric crack between adjacent triangles, or p beyond the
+      // enclosing rectangle: take the nearest candidate (the first of
+      // equals). Rare, so the distances are computed only here.
+      double best_dist = std::numeric_limits<double>::infinity();
+      for (int c : *candidates) {
+        const double d = DistanceToTriangle(tris_[c].tri, p);
+        if (d < best_dist) {
+          best_dist = d;
+          found = c;
+        }
+      }
+      if (found < 0) {
         return Status::Internal("query point escaped the triangulation");
       }
-      found = nearest;
     }
     if (tris_[found].children.empty()) {
       trace->region = tris_[found].region;

@@ -116,6 +116,10 @@ class TrianTree final : public bcast::AirIndex {
 
   Status Page();
 
+  /// The probe loop before its crack-fallback distances were deferred,
+  /// kept by the test suite as ProbeInto's oracle.
+  friend struct TrianTreeProbeOracle;
+
   Options options_;
   std::vector<TriNode> tris_;
   std::vector<int> roots_;  ///< surviving top-level triangles

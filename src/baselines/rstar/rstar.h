@@ -20,6 +20,7 @@
 #include "broadcast/air_index.h"
 #include "broadcast/pager.h"
 #include "common/status.h"
+#include "geom/cell_table.h"
 #include "geom/polygon.h"
 #include "subdivision/subdivision.h"
 
@@ -107,6 +108,10 @@ class RStarTree final : public bcast::AirIndex {
 
   RStarTree() = default;
 
+  /// The probe loop before its crack-fallback distances were deferred,
+  /// kept by the test suite as ProbeInto's oracle.
+  friend struct RStarTreeProbeOracle;
+
   geom::BBox NodeBox(int id) const;
   int ChooseSubtree(int node_id, const geom::BBox& box, int target_level,
                     std::vector<int>* path) const;
@@ -116,6 +121,14 @@ class RStarTree final : public bcast::AirIndex {
 
   /// Assigns packets: DFS over the tree, shape objects after their leaf.
   Status Layout(const sub::Subdivision& sub);
+
+  /// Depth-first walk in broadcast order over the nodes whose box holds p:
+  /// on_node(id) for every node popped, then on_entry(entry) for every
+  /// leaf entry whose box holds p, until on_entry returns true. Internal
+  /// when the walk exceeds bcast::kProbeStepBudget.
+  template <typename OnNode, typename OnEntry>
+  Status Descend(const geom::Point& p, OnNode on_node,
+                 OnEntry on_entry) const;
 
   Options options_;
   int max_entries_ = 0;
@@ -130,6 +143,8 @@ class RStarTree final : public bcast::AirIndex {
   std::vector<int> node_packet_;             ///< node id -> packet
   std::vector<bcast::NodeSpan> shape_span_;  ///< region id -> packets
   std::vector<geom::Polygon> shapes_;        ///< region id -> polygon
+  geom::CellTable shape_cells_;  ///< shapes_, for the leaf shape test
+  size_t stack_bound_ = 1;       ///< Descend's largest stack depth
   int num_packets_ = 0;
   size_t index_bytes_ = 0;
 };

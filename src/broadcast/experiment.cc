@@ -67,27 +67,28 @@ Result<QuerySampler> QuerySampler::Create(const sub::Subdivision& subdivision,
       return Status::InvalidArgument("weights sum to zero");
     }
   }
-  std::vector<geom::Polygon> polygons;
+  geom::CellTable cells;
   if (distribution != QueryDistribution::kUniformArea) {
+    std::vector<geom::Polygon> polygons;
     polygons.reserve(subdivision.NumRegions());
     for (int i = 0; i < subdivision.NumRegions(); ++i) {
       polygons.push_back(subdivision.RegionPolygon(i));
     }
+    cells = geom::CellTable(polygons);
   }
   return QuerySampler(subdivision, distribution, std::move(cumulative),
-                      std::move(polygons));
+                      std::move(cells));
 }
 
 geom::Point QuerySampler::DrawInRegion(int region, Rng* rng) const {
   const geom::BBox& b = sub_.RegionBounds(region);
-  const geom::Polygon& poly = polygons_[region];
   for (int attempt = 0; attempt < 4096; ++attempt) {
     geom::Point p{rng->Uniform(b.min_x, b.max_x),
                   rng->Uniform(b.min_y, b.max_y)};
-    if (poly.Contains(p)) return p;
+    if (cells_.Contains(region, p)) return p;
   }
   // Pathologically thin region: fall back to its centroid.
-  return poly.Centroid();
+  return sub_.RegionPolygon(region).Centroid();
 }
 
 geom::Point QuerySampler::Draw(Rng* rng) const {

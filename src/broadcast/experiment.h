@@ -22,6 +22,7 @@
 #include "common/metrics.h"
 #include "common/rng.h"
 #include "common/status.h"
+#include "geom/cell_table.h"
 #include "subdivision/subdivision.h"
 #include "workload/mobility.h"
 
@@ -92,10 +93,12 @@ inline constexpr char kLostPacketsHist[] = "lost_packets";
 inline constexpr char kCorruptedPacketsHist[] = "corrupted_packets";
 
 /// Draws query points for a distribution; precomputes the cumulative
-/// weight table once so skewed loads sample in O(log N), and materializes
-/// every region polygon once so the per-draw rejection loop never copies
-/// vertices. Draw() is const and safe to call concurrently with distinct
-/// Rngs.
+/// weight table once so skewed loads sample in O(log N), and builds one
+/// geom::CellTable of every region so the per-draw rejection loop never
+/// copies vertices and mostly skips Polygon::Contains's square roots. The
+/// table answers exactly as Polygon::Contains does, so every accepted
+/// point and the RNG stream are those of the plain polygon test. Draw() is
+/// const and safe to call concurrently with distinct Rngs.
 class QuerySampler {
  public:
   /// Fails when kWeightedRegion is requested with a missing or malformed
@@ -109,16 +112,16 @@ class QuerySampler {
  private:
   QuerySampler(const sub::Subdivision& subdivision,
                QueryDistribution distribution, std::vector<double> cumulative,
-               std::vector<geom::Polygon> polygons)
+               geom::CellTable cells)
       : sub_(subdivision), distribution_(distribution),
-        cumulative_(std::move(cumulative)), polygons_(std::move(polygons)) {}
+        cumulative_(std::move(cumulative)), cells_(std::move(cells)) {}
 
   geom::Point DrawInRegion(int region, Rng* rng) const;
 
   const sub::Subdivision& sub_;
   QueryDistribution distribution_;
-  std::vector<double> cumulative_;       ///< kWeightedRegion only
-  std::vector<geom::Polygon> polygons_;  ///< cached; empty for kUniformArea
+  std::vector<double> cumulative_;  ///< kWeightedRegion only
+  geom::CellTable cells_;           ///< empty for kUniformArea
 };
 
 /// Aggregated results of one (index, dataset, packet-capacity) cell.

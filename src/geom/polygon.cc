@@ -56,14 +56,10 @@ void Polygon::EnsureCCW() {
 
 bool Polygon::Contains(const Point& p) const {
   if (ring_.size() < 3) return false;
-  if (OnBoundary(p)) return true;
-  int crossings = 0;
-  for (size_t i = 0; i < ring_.size(); ++i) {
-    Point a, b;
-    Edge(i, &a, &b);
-    if (RayRightCrossesSegment(p, a, b)) ++crossings;
-  }
-  return (crossings % 2) == 1;
+  // OnBoundary || odd parity, in the cheaper order: the boundary pass
+  // takes a square root per edge and is only needed when the parity is
+  // even.
+  return ContainsHalfOpen(p) || OnBoundary(p);
 }
 
 bool Polygon::ContainsHalfOpen(const Point& p) const {

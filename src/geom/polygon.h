@@ -70,8 +70,10 @@ class Polygon {
   void EnsureCCW();
 
   /// True when p is strictly inside or on the boundary. Uses ray crossing
-  /// with the half-open rule plus an explicit boundary check, so points on
-  /// edges are reported as contained regardless of crossing parity.
+  /// with the half-open rule plus, when the parity is even, an explicit
+  /// boundary check, so points on edges are reported as contained
+  /// regardless of crossing parity. geom::CellTable answers the same test
+  /// faster for a fixed set of rings.
   ///
   /// Boundary semantics: this test is *inclusive*, so in a tiling (Voronoi
   /// cells) a point exactly on a shared edge is contained by BOTH adjacent
