@@ -86,5 +86,6 @@ int main(int argc, char** argv) {
       }
     }
   }
+  recorder.Flush();
   return 0;
 }

@@ -329,5 +329,6 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(h.TotalCount()), h.Mean(),
                 h.Max());
   }
+  recorder.Flush();
   return 0;
 }

@@ -417,5 +417,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "FAIL: region-cache invariants violated\n");
     return 1;
   }
+  recorder.Flush();
   return 0;
 }

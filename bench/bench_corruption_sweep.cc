@@ -170,5 +170,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "FAIL: corruption-sweep invariants violated\n");
     return 1;
   }
+  recorder.Flush();
   return 0;
 }

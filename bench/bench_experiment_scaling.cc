@@ -98,5 +98,6 @@ int main(int argc, char** argv) {
                  "shard/stream determinism contract is broken\n");
     return 1;
   }
+  recorder.Flush();
   return 0;
 }

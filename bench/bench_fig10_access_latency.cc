@@ -28,5 +28,6 @@ int main(int argc, char** argv) {
                        return r.normalized_latency;
                      });
   }
+  recorder.Flush();
   return 0;
 }

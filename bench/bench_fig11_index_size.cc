@@ -62,5 +62,6 @@ int main(int argc, char** argv) {
       std::printf(" %14d\n", dtree_packets);
     }
   }
+  recorder.Flush();
   return 0;
 }

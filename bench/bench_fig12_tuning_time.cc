@@ -26,5 +26,6 @@ int main(int argc, char** argv) {
                        return r.mean_tuning_index;
                      });
   }
+  recorder.Flush();
   return 0;
 }

@@ -26,5 +26,6 @@ int main(int argc, char** argv) {
                        return r.indexing_efficiency;
                      });
   }
+  recorder.Flush();
   return 0;
 }

@@ -354,5 +354,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "FAIL: fleet invariants violated\n");
     return 1;
   }
+  recorder.Flush();
   return 0;
 }

@@ -164,5 +164,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "FAIL: lossy-channel invariants violated\n");
     return 1;
   }
+  recorder.Flush();
   return 0;
 }

@@ -17,6 +17,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -278,21 +279,38 @@ double NowSeconds() {
       .count();
 }
 
-/// Times fn(query) over the query set until ~0.25 s has elapsed; returns
-/// mean ns per call.
+/// Quartiles of the ns per call over TimeProbeNs's timing windows.
+struct ProbeTiming {
+  double q1 = 0.0;
+  double median = 0.0;
+  double q3 = 0.0;
+};
+
+constexpr int kTimingWindows = 7;
+constexpr double kWindowSeconds = 0.15;
+
+/// Times fn(query) over the query set in kTimingWindows windows of
+/// ~kWindowSeconds each; returns the quartiles of the windows' mean ns per
+/// call, so one noisy window cannot move the recorded figure.
 template <typename Fn>
-double TimeProbeNs(const std::vector<geom::Point>& queries, Fn&& fn) {
+ProbeTiming TimeProbeNs(const std::vector<geom::Point>& queries, Fn&& fn) {
   const size_t nq = queries.size();
   for (size_t i = 0; i < nq; ++i) fn(queries[i]);  // warm caches
-  int64_t calls = 0;
-  const double start = NowSeconds();
-  double elapsed = 0.0;
-  do {
-    for (size_t i = 0; i < nq; ++i) fn(queries[i]);
-    calls += static_cast<int64_t>(nq);
-    elapsed = NowSeconds() - start;
-  } while (elapsed < 0.25);
-  return elapsed * 1e9 / static_cast<double>(calls);
+  std::vector<double> ns(kTimingWindows);
+  for (double& window_ns : ns) {
+    int64_t calls = 0;
+    const double start = NowSeconds();
+    double elapsed = 0.0;
+    do {
+      for (size_t i = 0; i < nq; ++i) fn(queries[i]);
+      calls += static_cast<int64_t>(nq);
+      elapsed = NowSeconds() - start;
+    } while (elapsed < kWindowSeconds);
+    window_ns = elapsed * 1e9 / static_cast<double>(calls);
+  }
+  std::sort(ns.begin(), ns.end());
+  return {ns[kTimingWindows / 4], ns[kTimingWindows / 2],
+          ns[3 * kTimingWindows / 4]};
 }
 
 /// Compares the D-tree byte decoder (oracle) against the arena on every
@@ -361,28 +379,33 @@ bool MeasureDTree(const sub::Subdivision& sub, int n,
   if (!VerifyArena(n, packets, early, arena, queries)) return false;
 
   std::vector<int> read;
-  const double decode_ns = TimeProbeNs(queries, [&](const geom::Point& p) {
+  const ProbeTiming decode = TimeProbeNs(queries, [&](const geom::Point& p) {
     read.clear();
     benchmark::DoNotOptimize(
         core::QueryFromPackets(packets, kPacketCapacity, early, p, &read));
   });
   bcast::ProbeTrace trace;
-  const double arena_ns = TimeProbeNs(queries, [&](const geom::Point& p) {
+  const ProbeTiming arena_t = TimeProbeNs(queries, [&](const geom::Point& p) {
     benchmark::DoNotOptimize(arena.ProbeInto(p, &trace));
   });
+  const double decode_ns = decode.median, arena_ns = arena_t.median;
   const double speedup = decode_ns / arena_ns;
   std::printf("dtree n=%-7d decode %8.1f ns/probe   arena %8.1f ns/probe   "
               "speedup %5.2fx   arena %zu bytes\n",
               n, decode_ns, arena_ns, speedup, arena.ArenaBytes());
   std::fflush(stdout);
 
-  char extra[256];
+  char extra[512];
   std::snprintf(extra, sizeof(extra),
                 ", \"index\": \"dtree\", \"n\": %d, "
                 "\"packet_capacity\": %d, \"decode_ns_per_probe\": %.1f, "
-                "\"arena_ns_per_probe\": %.1f, \"speedup\": %.2f, "
+                "\"decode_ns_q1\": %.1f, \"decode_ns_q3\": %.1f, "
+                "\"arena_ns_per_probe\": %.1f, \"arena_ns_q1\": %.1f, "
+                "\"arena_ns_q3\": %.1f, \"timing_windows\": %d, "
+                "\"speedup\": %.2f, "
                 "\"arena_bytes\": %zu, \"verified_queries\": %d",
-                n, kPacketCapacity, decode_ns, arena_ns, speedup,
+                n, kPacketCapacity, decode_ns, decode.q1, decode.q3,
+                arena_ns, arena_t.q1, arena_t.q3, kTimingWindows, speedup,
                 arena.ArenaBytes(), kVerifyQueries);
   recorder->Record("SCALE-U" + std::to_string(n) + "/dtree",
                    bench::SecondsSince(t0), 1e9 / arena_ns,

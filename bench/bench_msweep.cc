@@ -61,5 +61,6 @@ int main(int argc, char** argv) {
       }
     }
   }
+  recorder.Flush();
   return 0;
 }

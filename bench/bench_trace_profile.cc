@@ -226,5 +226,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "FAIL: one or more profile cells failed\n");
     return 1;
   }
+  recorder.Flush();
   return 0;
 }

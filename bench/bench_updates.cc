@@ -412,5 +412,6 @@ int main(int argc, char** argv) {
   }
   std::printf("determinism: FleetResult bit-identical at 1/4/8 threads "
               "for every cell ✓\n");
+  recorder.Flush();
   return 0;
 }

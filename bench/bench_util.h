@@ -251,7 +251,10 @@ inline std::string HostCompiler() {
 }
 
 /// Collects per-cell wall-clock timings (plus optional distribution
-/// percentiles) and writes them as JSON on Flush()/destruction:
+/// percentiles) and writes them as JSON on Flush(). A bench calls Flush()
+/// on its success path only: one that exits on a failed gate writes no
+/// file, rather than a well-formed file holding the cells recorded before
+/// the failure. The file:
 ///   {"bench": ..., "host": {"nproc": P, "cpu_model": ..., "compiler": ...,
 ///    "build_type": ...}, "threads": T, "cells":
 ///    [{"cell": id, "wall_s": s, "qps": q, "threads": T,
@@ -263,8 +266,6 @@ class BenchRecorder {
         threads_(flags.threads > 0 ? flags.threads
                                    : ThreadPool::DefaultThreads()),
         queries_(flags.queries), seed_(flags.seed) {}
-
-  ~BenchRecorder() { Flush(); }
 
   /// `cell_threads` overrides the flag-derived thread count for benches
   /// that vary it per cell (the scaling bench); <= 0 keeps the default.
